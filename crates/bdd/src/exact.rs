@@ -102,7 +102,8 @@ impl BddManager {
     }
 
     /// Rebuilds `roots` under the exact target order (a permutation of all
-    /// variables, top to bottom) by repeated adjacent swaps.
+    /// variables, top to bottom) by repeated in-place adjacent swaps, then
+    /// collects garbage as [`gc`](Self::gc) does.
     ///
     /// # Panics
     ///
@@ -120,11 +121,7 @@ impl BddManager {
                 "duplicate {v:?} in order"
             );
         }
-        let mut roots = roots.to_vec();
-        for (level, &var) in order.iter().enumerate() {
-            roots = self.move_var_to_level(var, level as u32, &roots);
-        }
-        self.gc(&roots)
+        self.move_vars_in_place(roots, order.iter().copied().zip(0u32..))
     }
 }
 

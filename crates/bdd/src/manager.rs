@@ -194,7 +194,8 @@ pub struct BddManager {
     /// rebuild (reorder.rs): taken out for the duration of a swap, put
     /// back after, so repeated swaps never reallocate.
     swap_scratch: ScratchMap,
-    /// Reusable stamped visit-set for width/cost traversals (width.rs).
+    /// Reusable stamped visit-set for the sifter's crossing sets and the
+    /// in-place swap's reachability check (reorder.rs).
     width_scratch: ScratchMap,
     /// Head of the per-variable node list: `var_heads[v]` is the arena
     /// index of one node labelled `v` (or `NIL`), and `var_next[i]` chains
@@ -333,8 +334,8 @@ impl BddManager {
         self.swap_scratch = scratch;
     }
 
-    /// Takes the width-traversal scratch out of the manager, begun over
-    /// the current arena. Counterpart of
+    /// Takes the crossing-set/reachability scratch out of the manager,
+    /// begun over the current arena. Counterpart of
     /// [`put_width_scratch`](Self::put_width_scratch).
     pub(crate) fn take_width_scratch(&mut self) -> ScratchMap {
         let mut scratch = std::mem::take(&mut self.width_scratch);
@@ -342,7 +343,7 @@ impl BddManager {
         scratch
     }
 
-    /// Returns the width-traversal scratch taken by
+    /// Returns the crossing-set/reachability scratch taken by
     /// [`take_width_scratch`](Self::take_width_scratch).
     pub(crate) fn put_width_scratch(&mut self, scratch: ScratchMap) {
         self.width_scratch = scratch;

@@ -10,33 +10,38 @@
 //!
 //! # Implementation
 //!
-//! Two swap strategies coexist:
+//! Every reorder — [`BddManager::sift`], [`BddManager::legalize_order`],
+//! [`BddManager::move_var_to_level`] and
+//! [`BddManager::rebuild_order`] — runs on one *in-place* adjacent swap
+//! (`swap_adjacent_in_place`, crate-private): nodes at the upper level are
+//! rewritten where they sit, threaded through the manager's per-variable
+//! chains, so ancestors and roots keep their ids and a swap costs O(nodes
+//! at the swapped level). The arena is temporarily *staged* — rewritten
+//! nodes point at higher-indexed children and displaced garbage lingers —
+//! until the next [`BddManager::gc`] recompacts it; every public entry
+//! point collects before returning, so callers never observe a staged
+//! arena. The functional [`BddManager::swap_adjacent`] remains as the
+//! reference the tests compare against; no reorder uses it.
 //!
-//! * The public [`BddManager::swap_adjacent`] is *functional*: it rebuilds
-//!   the affected nodes bottom-up and returns remapped roots. Nodes whose
-//!   shape does not change keep their identity, but the rebuild still walks
-//!   every ancestor of the swapped level, so a swap costs O(above-cut
-//!   region). The arena stays in children-precede-parents order throughout,
-//!   which keeps every public invariant (snapshots included) intact at any
-//!   point.
-//!
-//! * The sifter uses an *in-place* swap (`swap_adjacent_in_place`,
-//!   crate-private): nodes at the upper level are rewritten where they sit,
-//!   threaded through the manager's per-variable chains, so ancestors and
-//!   roots keep their ids and a swap costs O(nodes at the swapped level).
-//!   The arena is temporarily *staged* — rewritten nodes point at
-//!   higher-indexed children and displaced garbage lingers — until the next
-//!   [`BddManager::gc`] recompacts it; the sifter always collects before
-//!   returning, so public callers never observe a staged arena.
-//!
-//! Old nodes become garbage that a later [`BddManager::gc`] reclaims; the
-//! sifter collects after each variable.
+//! The sifter prices each swap with per-cut *crossing sets*: `S(c)` is the
+//! set of distinct non-`FALSE` nodes hanging below cut `c`, so `|S(c)|`
+//! is the Definition 3.5 width and the live nodes at level `l` are the
+//! members of `S(l)` at that level. By canonicity `S(c)` holds the nodes
+//! of the distinct non-zero cofactors with respect to the *set* of
+//! variables above cut `c`. The invariant: an in-place swap at level `l`
+//! keeps every live id and its function, and every cut except `l + 1`
+//! keeps its set of variables above, so every `S(k)` with `k ≠ l + 1` is
+//! unchanged as a set of ids, and
+//! `S(l + 1) = (S(l) minus its level-l nodes) ∪ (their non-FALSE children)`.
+//! A swap is therefore priced in O(width). The sets are built in one
+//! sweep when a variable starts sifting and rebuilt after every `gc`,
+//! which renumbers the nodes; they are never carried across one.
 //!
 //! All operation caches are cleared on a swap: the entries stay
 //! function-correct, but clearing is an O(1) generation bump and keeps
 //! every cached id accountable to the live arena.
 
-use crate::manager::{BddManager, NodeId, Var};
+use crate::manager::{BddManager, NodeId, Var, FALSE};
 use crate::table::{ScratchMap, NIL};
 
 /// Cost function minimised by [`BddManager::sift`].
@@ -100,6 +105,12 @@ impl BddManager {
     /// Swaps the variables at `level` and `level + 1` and rebuilds the BDDs
     /// rooted at `roots`, returning the remapped roots (same order).
     ///
+    /// This is the *functional* swap: it rebuilds every ancestor of the
+    /// swapped level bottom-up, so the arena stays in
+    /// children-precede-parents order throughout, at O(above-cut region)
+    /// per swap. The reorders use the in-place swap instead; this one is
+    /// kept as the independent reference the tests compare against.
+    ///
     /// Roots must cover *every* function the caller wants to keep valid:
     /// nodes not reachable from `roots` are not rebuilt and must not be used
     /// afterwards.
@@ -133,19 +144,19 @@ impl BddManager {
     /// are rewritten where they sit, so every ancestor — including every
     /// entry of `roots` — keeps both its id and its function, and the swap
     /// costs O(nodes at the swapped level) instead of O(everything above
-    /// it). This is what makes sifting affordable: a sift walk is almost
-    /// entirely swaps, and the functional [`swap_adjacent`]
-    /// (Self::swap_adjacent) rebuilds the whole above-cut region per swap.
+    /// it). Every reorder runs on it: a sift walk is almost entirely swaps,
+    /// and the functional [`swap_adjacent`](Self::swap_adjacent) rebuilds
+    /// the whole above-cut region per swap.
     ///
     /// The price is a *staged* arena: rewritten nodes point at children
     /// with larger indices, and displaced nodes linger as garbage (some
     /// untabled, some with stale shapes), until the next [`gc`]
     /// (Self::gc) restores the children-precede-parents layout. Callers
     /// must therefore collect before handing the manager back to code that
-    /// relies on arena order (snapshots) or full-arena integrity; the
-    /// sifter does so before returning. `roots` is consulted only by the
-    /// rare key-collision tie-break (see below) — the ids themselves are
-    /// never remapped.
+    /// relies on arena order (snapshots) or full-arena integrity; every
+    /// public reorder does so before returning. `roots` is consulted only
+    /// by the rare key-collision tie-break (see below) — the ids
+    /// themselves are never remapped.
     ///
     /// Per upper-level node `X = (u, f0, f1)` threaded on `u`'s chain:
     ///
@@ -331,30 +342,56 @@ impl BddManager {
         r
     }
 
-    /// Moves `var` to `target_level` by repeated adjacent swaps, rebuilding
-    /// `roots` along the way.
+    /// Moves `var` to `target_level` by repeated in-place adjacent swaps,
+    /// then collects garbage keeping `roots` (and every registered root)
+    /// alive. Returns the remapped roots; every other id is invalidated,
+    /// as after [`gc`](Self::gc).
     pub fn move_var_to_level(
         &mut self,
         var: Var,
         target_level: u32,
         roots: &[NodeId],
     ) -> Vec<NodeId> {
-        let mut roots = roots.to_vec();
-        while self.level_of(var) < target_level {
-            let l = self.level_of(var);
-            roots = self.swap_adjacent(l, &roots);
-        }
-        while self.level_of(var) > target_level {
-            let l = self.level_of(var);
-            roots = self.swap_adjacent(l - 1, &roots);
-        }
-        roots
+        self.move_vars_in_place(roots, [(var, target_level)])
     }
 
-    fn reorder_cost(&mut self, roots: &[NodeId], cost: ReorderCost) -> usize {
+    /// The one reorder loop behind
+    /// [`move_var_to_level`](Self::move_var_to_level),
+    /// [`legalize_order`](Self::legalize_order) and
+    /// [`rebuild_order`](Self::rebuild_order): moves each `(var, level)` in
+    /// turn to its level by in-place swaps, then collects once.
+    pub(crate) fn move_vars_in_place(
+        &mut self,
+        roots: &[NodeId],
+        moves: impl IntoIterator<Item = (Var, u32)>,
+    ) -> Vec<NodeId> {
+        for (var, level) in moves {
+            self.walk_in_place(var, level, roots);
+        }
+        self.gc(roots)
+    }
+
+    /// Walks `var` to `target_level` by in-place swaps, pricing nothing.
+    /// The arena stays staged until the caller collects.
+    fn walk_in_place(&mut self, var: Var, target_level: u32, roots: &[NodeId]) {
+        let mut level = self.level_of(var);
+        while level != target_level {
+            let next = if target_level > level {
+                level + 1
+            } else {
+                level - 1
+            };
+            self.swap_adjacent_in_place(level.min(next), roots);
+            level = next;
+        }
+    }
+
+    /// Full recount of the sifting cost, independent of the crossing sets
+    /// (the sifter's debug cross-check and its per-pass comparison).
+    fn reorder_cost(&self, roots: &[NodeId], cost: ReorderCost) -> usize {
         match cost {
             ReorderCost::NodeCount => self.node_count_multi(roots),
-            ReorderCost::SumOfWidths => self.width_sum(roots),
+            ReorderCost::SumOfWidths => self.width_profile(roots).sum(),
         }
     }
 
@@ -392,7 +429,13 @@ impl BddManager {
             if label_count[var.0 as usize] == 0 {
                 continue;
             }
-            roots = self.sift_one(var, &roots, constraints, cost);
+            // Swap garbage accumulates during a walk and inflates every
+            // traversal; collect whenever the arena heavily outgrows its
+            // starting size. The factor trades arena bytes for pause time:
+            // traversals skip garbage (they follow edges), so a larger
+            // factor only costs memory and per-collection scan length.
+            let gc_threshold = self.arena_len() * 4 + 65_536;
+            roots = self.sift_one(var, &roots, constraints, cost, gc_threshold);
             roots = self.gc(&roots);
         }
         roots
@@ -401,7 +444,8 @@ impl BddManager {
     /// Rearranges the current order into the nearest one satisfying
     /// `constraints` (Kahn's topological sort, preferring variables that
     /// currently sit higher), rebuilding `roots` along the way. A no-op if
-    /// the order is already legal.
+    /// the order is already legal; otherwise the manager is collected
+    /// before returning, as by [`gc`](Self::gc).
     ///
     /// # Panics
     ///
@@ -437,12 +481,9 @@ impl BddManager {
             }
         }
         assert_eq!(target.len(), t, "cyclic order constraints");
-        let mut roots = roots.to_vec();
-        for (level, &var) in target.iter().enumerate() {
-            roots = self.move_var_to_level(var, level as u32, &roots);
-        }
+        let roots = self.move_vars_in_place(roots, target.into_iter().zip(0u32..));
         debug_assert!(constraints.check(self));
-        self.gc(&roots)
+        roots
     }
 
     /// Repeated sifting passes until the cost stops improving (at most
@@ -469,12 +510,17 @@ impl BddManager {
         roots
     }
 
+    /// Walks `var` through its allowed window, pricing every position
+    /// with the crossing sets, and parks it at the cheapest. Collects
+    /// mid-walk whenever the arena grows past `gc_threshold`; the staged
+    /// arena it leaves is the caller's to collect.
     fn sift_one(
         &mut self,
         var: Var,
         roots: &[NodeId],
         constraints: &SiftConstraints,
         cost: ReorderCost,
+        gc_threshold: usize,
     ) -> Vec<NodeId> {
         let (min_level, max_level) = constraints.window(self, var);
         let start = self.level_of(var);
@@ -483,14 +529,9 @@ impl BddManager {
             return roots.to_vec();
         }
         let mut roots = roots.to_vec();
-        let (mut tracker, mut best_cost) = SiftCostTracker::init(self, &roots, cost);
+        let mut sets = CrossingSets::build(self, &roots);
+        let mut best_cost = sets.cost(cost);
         let mut best_level = start;
-        // Swap garbage accumulates during the walk and inflates every
-        // traversal; collect whenever the arena heavily outgrows its
-        // starting size. The factor trades arena bytes for pause time:
-        // traversals skip garbage (they follow edges), so a larger factor
-        // only costs memory and per-collection scan length.
-        let gc_threshold = self.arena_len() * 4 + 65_536;
 
         // Visit the nearer end first to keep the walk short.
         let (first, second) = if start - min_level <= max_level - start {
@@ -505,7 +546,8 @@ impl BddManager {
                 let swapped = level.min(next);
                 self.swap_adjacent_in_place(swapped, &roots);
                 level = next;
-                let c = tracker.after_swap(self, &roots, swapped);
+                sets.refresh_below(self, swapped);
+                let c = sets.cost(cost);
                 debug_assert_eq!(c, self.reorder_cost(&roots, cost));
                 // Strictly-better keeps the first (closest) optimum.
                 if c < best_cost {
@@ -513,77 +555,130 @@ impl BddManager {
                     best_level = level;
                 }
                 if self.arena_len() > gc_threshold {
+                    // gc renumbers every node: rebuild the sets over the
+                    // new ids rather than carry the old ones across.
                     roots = self.gc(&roots);
+                    sets = CrossingSets::build(self, &roots);
                 }
             }
         }
         // Park at the best position, in place like the walk itself. The
         // arena stays staged until the caller (sift_pass) collects.
-        let mut level = self.level_of(var);
-        while level != best_level {
-            let next = if best_level > level {
-                level + 1
-            } else {
-                level - 1
-            };
-            self.swap_adjacent_in_place(level.min(next), &roots);
-            level = next;
-        }
+        self.walk_in_place(var, best_level, &roots);
         roots
     }
+
+    /// Test hook for the crossing sets: builds them over `roots`, then for
+    /// each entry of `levels` swaps that level in place, updates the sets
+    /// and hands `check` the manager, the tracked unclamped width of every
+    /// cut and the tracked live-node count. Collects before returning the
+    /// remapped roots, like every public reorder.
+    #[doc(hidden)]
+    pub fn crossing_walk_for_testing(
+        &mut self,
+        roots: &[NodeId],
+        levels: &[u32],
+        mut check: impl FnMut(&BddManager, &[usize], usize),
+    ) -> Vec<NodeId> {
+        let mut sets = CrossingSets::build(self, roots);
+        for &level in levels {
+            self.swap_adjacent_in_place(level, roots);
+            sets.refresh_below(self, level);
+            let widths: Vec<usize> = sets.sets.iter().map(Vec::len).collect();
+            check(self, &widths, sets.node_count());
+        }
+        self.gc(roots)
+    }
 }
 
-/// Incremental sifting cost: an adjacent swap at level `l` can only change
-/// the width at cut `l + 1` — the width at any cut is the number of
-/// distinct non-zero cofactors with respect to the *set* of variables
-/// above it, and a swap leaves every above-cut set except `l + 1`'s
-/// untouched. The tracker therefore recounts just that cut (a traversal
-/// pruned at the cut) instead of rebuilding the whole profile after every
-/// swap. Cut widths are function-of-order values, so a `gc` between swaps
-/// does not invalidate them.
-///
-/// `NodeCount` has no such locality under this representation (node
-/// identities change on rebuild), so it stays a full recount.
-enum SiftCostTracker {
-    NodeCount,
-    Widths { cuts: Vec<i64> },
+/// The sifter's cost tracker. `sets[c]` is `S(c)` (see the module docs),
+/// so `sets[c].len()` is the unclamped width at cut `c`, `0 ≤ c ≤ t`.
+/// `level_nodes[l]` counts the members of `S(l)` at level `l`: exactly the
+/// live nodes of that level, whose parents all sit above it, so the
+/// `NodeCount` cost comes from the same sets. An in-place swap at level `l`
+/// changes only `S(l + 1)`; a [`BddManager::gc`] renumbers every node, so
+/// the sets are rebuilt after each one.
+struct CrossingSets {
+    sets: Vec<Vec<u32>>,
+    level_nodes: Vec<usize>,
 }
 
-impl SiftCostTracker {
-    /// Full cost evaluation; returns the tracker and the current cost.
-    fn init(mgr: &mut BddManager, roots: &[NodeId], cost: ReorderCost) -> (Self, usize) {
+impl CrossingSets {
+    /// Builds every set in one sweep down the cuts.
+    fn build(mgr: &mut BddManager, roots: &[NodeId]) -> Self {
+        let t = mgr.num_vars();
+        let mut sets = vec![Vec::new(); t + 1];
+        let mut seen = mgr.take_width_scratch();
+        for &root in roots {
+            admit(&mut seen, &mut sets[0], root);
+        }
+        mgr.put_width_scratch(seen);
+        let mut tracker = CrossingSets {
+            sets,
+            level_nodes: vec![0; t],
+        };
+        for level in 0..t as u32 {
+            tracker.refresh_below(mgr, level);
+        }
+        tracker
+    }
+
+    /// Recomputes `S(level + 1)` from `S(level)`, and the node counts of
+    /// both levels. Building runs it for every level; after an in-place
+    /// swap of `level` and `level + 1` it is the whole update.
+    fn refresh_below(&mut self, mgr: &mut BddManager, level: u32) {
+        let l = level as usize;
+        let (upper, lower) = self.sets.split_at_mut(l + 1);
+        let (above, below) = (&upper[l], &mut lower[0]);
+        below.clear();
+        let mut seen = mgr.take_width_scratch();
+        let (mut at_level, mut next_level) = (0, 0);
+        for &raw in above.iter() {
+            let n = mgr.brand(raw);
+            let hanging = if mgr.level_of_node(n) == level {
+                at_level += 1;
+                [mgr.lo(n), mgr.hi(n)]
+            } else {
+                [n, FALSE]
+            };
+            for m in hanging {
+                if admit(&mut seen, below, m) && mgr.level_of_node(m) == level + 1 {
+                    next_level += 1;
+                }
+            }
+        }
+        mgr.put_width_scratch(seen);
+        self.level_nodes[l] = at_level;
+        if let Some(count) = self.level_nodes.get_mut(l + 1) {
+            *count = next_level;
+        }
+    }
+
+    fn node_count(&self) -> usize {
+        self.level_nodes.iter().sum()
+    }
+
+    /// The sifting cost: live nodes, or the sum of widths with every cut
+    /// clamped to ≥ 1 (the width at height 0 is 1 by definition, and
+    /// all-zero cuts count as 1), exactly as
+    /// [`WidthProfile::sum`](crate::WidthProfile::sum) adds them.
+    fn cost(&self, cost: ReorderCost) -> usize {
         match cost {
-            ReorderCost::NodeCount => {
-                let count = mgr.node_count_multi(roots);
-                (SiftCostTracker::NodeCount, count)
-            }
-            ReorderCost::SumOfWidths => {
-                let cuts = mgr.width_cuts_raw(roots);
-                let sum = clamped_sum(&cuts);
-                (SiftCostTracker::Widths { cuts }, sum)
-            }
-        }
-    }
-
-    /// Cost after one adjacent swap at `swapped_level`: recounts the one
-    /// cut the swap can change (a traversal pruned at the cut) and reuses
-    /// the cached widths everywhere else.
-    fn after_swap(&mut self, mgr: &mut BddManager, roots: &[NodeId], swapped_level: u32) -> usize {
-        match self {
-            SiftCostTracker::NodeCount => mgr.node_count_multi(roots),
-            SiftCostTracker::Widths { cuts } => {
-                let c = swapped_level + 1;
-                cuts[c as usize] = mgr.width_at_cut(roots, c);
-                clamped_sum(cuts)
-            }
+            ReorderCost::NodeCount => self.node_count(),
+            ReorderCost::SumOfWidths => self.sets.iter().map(|s| s.len().max(1)).sum(),
         }
     }
 }
 
-/// The paper's cost clamps every cut width to ≥ 1 (the width at height 0
-/// is 1 by definition, and all-zero cuts count as 1).
-fn clamped_sum(cuts: &[i64]) -> usize {
-    cuts.iter().map(|&c| c.max(1) as usize).sum()
+/// Adds `n` to the set being built unless it is `FALSE` or already in;
+/// reports whether it was added.
+fn admit(seen: &mut ScratchMap, set: &mut Vec<u32>, n: NodeId) -> bool {
+    let fresh = n != FALSE && seen.get(n.0).is_none();
+    if fresh {
+        seen.set(n.0, 0);
+        set.push(n.0);
+    }
+    fresh
 }
 
 #[cfg(test)]
@@ -799,27 +894,69 @@ mod tests {
     }
 
     #[test]
-    fn in_place_swap_widths_match_full_recount() {
-        let mut mgr = BddManager::new(5);
-        let f = {
-            let a = mgr.var(Var(0));
-            let c = mgr.var(Var(2));
+    fn crossing_sets_are_rebuilt_after_a_mid_walk_gc() {
+        // A zero threshold collects after every swap; each collection
+        // renumbers the nodes, and the per-swap debug cross-check fails
+        // unless the sets are rebuilt.
+        let mut mgr = BddManager::new(6);
+        let f = interleaved_function(&mut mgr);
+        let g = {
+            let b = mgr.var(Var(1));
             let e = mgr.var(Var(4));
-            let ac = mgr.and(a, c);
-            mgr.or(ac, e)
+            let x = mgr.var(Var(5));
+            let be = mgr.xor(b, e);
+            mgr.and(be, x)
         };
-        let g = interleaved_function(&mut mgr);
-        for level in [0u32, 1, 2, 3, 1, 0] {
-            mgr.swap_adjacent_in_place(level, &[f, g]);
-            let cuts = mgr.width_cuts_raw(&[f, g]);
-            for c in 0..=5u32 {
-                assert_eq!(
-                    mgr.width_at_cut(&[f, g], c),
-                    cuts[c as usize],
-                    "cut {c} after swapping level {level}"
-                );
+        let (tf, tg) = (truth_vector(&mgr, f), truth_vector(&mgr, g));
+        let gc_before = mgr.engine_stats().gc_runs;
+        let none = SiftConstraints::none();
+        let roots = mgr.sift_one(Var(2), &[f, g], &none, ReorderCost::SumOfWidths, 0);
+        // Var(2) walks from level 2 to 0, then down to 5: seven swaps.
+        assert_eq!(mgr.engine_stats().gc_runs, gc_before + 7);
+        let roots = mgr.gc(&roots);
+        assert_eq!(truth_vector(&mgr, roots[0]), tf);
+        assert_eq!(truth_vector(&mgr, roots[1]), tg);
+    }
+
+    #[test]
+    fn crossing_sets_of_false_roots_are_empty() {
+        // Only an all-FALSE root set has empty cuts; the cost clamps them.
+        let mut mgr = BddManager::new(3);
+        let sets = CrossingSets::build(&mut mgr, &[FALSE]);
+        assert!(sets.sets.iter().all(Vec::is_empty));
+        assert_eq!(sets.node_count(), 0);
+        assert_eq!(
+            sets.cost(ReorderCost::SumOfWidths),
+            mgr.width_profile(&[FALSE]).sum()
+        );
+    }
+
+    #[test]
+    fn in_place_reorders_match_the_functional_reference() {
+        let mut mgr = BddManager::new(5);
+        let f = interleaved_function(&mut mgr);
+        let g = {
+            let b = mgr.var(Var(1));
+            let e = mgr.var(Var(4));
+            mgr.xor(b, e)
+        };
+        let order = [Var(4), Var(2), Var(0), Var(3), Var(1)];
+        let mut reference = mgr.clone();
+        let mut expect = vec![f, g];
+        for (level, &var) in order.iter().enumerate() {
+            while reference.level_of(var) > level as u32 {
+                let l = reference.level_of(var);
+                expect = reference.swap_adjacent(l - 1, &expect);
             }
         }
+        let got = mgr.rebuild_order(&[f, g], &order);
+        assert_eq!(mgr.order(), reference.order());
+        for (&a, &b) in got.iter().zip(&expect) {
+            assert_eq!(mgr.node_count(a), reference.node_count(b));
+            assert_eq!(mgr.width_profile(&[a]), reference.width_profile(&[b]));
+        }
+        mgr.check_integrity()
+            .expect("reorders return a collected arena");
     }
 
     #[test]

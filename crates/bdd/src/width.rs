@@ -141,124 +141,6 @@ impl BddManager {
         }
         WidthProfile { cuts }
     }
-
-    /// Unclamped per-cut widths (`len == t + 1`), same counting rules as
-    /// [`width_profile`](Self::width_profile) but before the ≥1 clamp.
-    ///
-    /// Uses the manager-owned stamped scratch, so a call costs O(visited
-    /// nodes) with no arena-sized allocation — this is the sifting cost
-    /// evaluator's workhorse.
-    pub(crate) fn width_cuts_raw(&mut self, roots: &[NodeId]) -> Vec<i64> {
-        let t = self.num_vars();
-        let mut scratch = self.take_width_scratch();
-        // Scratch value = min-parent-level + 1, so external root pointers
-        // (level −1) encode as 0 and the encoding stays unsigned.
-        let mut stack: Vec<NodeId> = Vec::with_capacity(roots.len());
-        let mut seen: Vec<u32> = Vec::new();
-        for &root in roots {
-            if root == FALSE {
-                continue;
-            }
-            if scratch.get(root.0).is_none() {
-                seen.push(root.0);
-                stack.push(root);
-            }
-            scratch.set(root.0, 0);
-        }
-        while let Some(n) = stack.pop() {
-            if self.is_const(n) {
-                continue;
-            }
-            let encoded = self.level_of_node(n) + 1;
-            for child in [self.lo(n), self.hi(n)] {
-                if child == FALSE {
-                    continue;
-                }
-                match scratch.get(child.0) {
-                    None => {
-                        scratch.set(child.0, encoded);
-                        seen.push(child.0);
-                        stack.push(child);
-                    }
-                    Some(current) if encoded < current => scratch.set(child.0, encoded),
-                    Some(_) => {}
-                }
-            }
-        }
-        let mut delta = vec![0i64; t + 2];
-        for &raw in &seen {
-            let n = self.brand(raw);
-            let lo = scratch.get(raw).unwrap_or(0) as usize;
-            let hi = (self.level_of_node(n) as usize).min(t);
-            if lo <= hi {
-                delta[lo] += 1;
-                delta[hi + 1] -= 1;
-            }
-        }
-        self.put_width_scratch(scratch);
-        let mut cuts = Vec::with_capacity(t + 1);
-        let mut acc = 0i64;
-        for d in delta.iter().take(t + 1) {
-            acc += d;
-            cuts.push(acc);
-        }
-        cuts
-    }
-
-    /// Sum of clamped cut widths — identical to
-    /// `width_profile(roots).sum()` but allocation-light (see
-    /// [`width_cuts_raw`](Self::width_cuts_raw)).
-    pub(crate) fn width_sum(&mut self, roots: &[NodeId]) -> usize {
-        self.width_cuts_raw(roots)
-            .iter()
-            .map(|&c| c.max(1) as usize)
-            .sum()
-    }
-
-    /// Unclamped width at a single cut `c`: the number of distinct
-    /// non-`FALSE` nodes hanging below it (nodes reached by an edge from a
-    /// node above the cut, or by an external root pointer, that lie at or
-    /// below the cut).
-    ///
-    /// The traversal prunes at the cut: only nodes *above* `c` are
-    /// visited, so the cost is proportional to the upper part of the BDD.
-    /// This is what makes incremental sifting cheap — an adjacent swap at
-    /// level `l` can only change the width at cut `l + 1`, because every
-    /// other cut's width is the number of distinct non-zero cofactors with
-    /// respect to the *set* of variables above it, and a swap permutes
-    /// variables without changing any other above-cut set.
-    pub(crate) fn width_at_cut(&mut self, roots: &[NodeId], c: u32) -> i64 {
-        let mut scratch = self.take_width_scratch();
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut hanging = 0i64;
-        // Seed with the external root pointers (parents at level −1 < c).
-        for &root in roots {
-            if root == FALSE || scratch.get(root.0).is_some() {
-                continue;
-            }
-            scratch.set(root.0, 0);
-            if self.level_of_node(root) >= c {
-                hanging += 1;
-            } else {
-                stack.push(root);
-            }
-        }
-        while let Some(n) = stack.pop() {
-            for child in [self.lo(n), self.hi(n)] {
-                if child == FALSE || scratch.get(child.0).is_some() {
-                    continue;
-                }
-                scratch.set(child.0, 0);
-                if self.level_of_node(child) >= c {
-                    hanging += 1;
-                } else {
-                    stack.push(child);
-                }
-            }
-        }
-        self.put_width_scratch(scratch);
-        hanging
-    }
 }
 
 #[cfg(test)]
@@ -337,43 +219,6 @@ mod tests {
         let p = mgr.width_profile(&[FALSE]);
         // All-zero: every cut is empty, clamped to the defined minimum 1.
         assert_eq!(p.max(), 1);
-    }
-
-    #[test]
-    fn scratch_based_width_matches_the_profile() {
-        // width_sum / width_at_cut are the sifting fast paths; they must
-        // agree exactly with the public profile on every cut, including
-        // after swaps and on multi-rooted BDDs.
-        let mut mgr = BddManager::new(4);
-        let a = mgr.var(Var(0));
-        let b = mgr.var(Var(1));
-        let c = mgr.var(Var(2));
-        let d = mgr.var(Var(3));
-        let ac = mgr.and(a, c);
-        let bd = mgr.and(b, d);
-        let f = mgr.or(ac, bd);
-        let g = mgr.xor(b, c);
-        for roots in [vec![f], vec![f, g], vec![f, crate::TRUE, FALSE]] {
-            let p = mgr.width_profile(&roots);
-            assert_eq!(mgr.width_sum(&roots), p.sum());
-            let raw = mgr.width_cuts_raw(&roots);
-            assert_eq!(raw.len(), p.len());
-            for (cut, &raw_cut) in raw.iter().enumerate() {
-                assert_eq!(raw_cut.max(1) as usize, p.at_cut(cut), "cut {cut}");
-                assert_eq!(mgr.width_at_cut(&roots, cut as u32), raw_cut, "cut {cut}");
-            }
-        }
-        // Same agreement in a permuted order reached by a swap.
-        let roots = mgr.swap_adjacent(1, &[f, g]);
-        let p = mgr.width_profile(&roots);
-        assert_eq!(mgr.width_sum(&roots), p.sum());
-        for cut in 0..p.len() {
-            assert_eq!(
-                mgr.width_at_cut(&roots, cut as u32).max(1) as usize,
-                p.at_cut(cut),
-                "cut {cut} after swap"
-            );
-        }
     }
 
     #[test]

@@ -159,6 +159,63 @@ proptest! {
     }
 
     #[test]
+    fn crossing_sets_track_every_in_place_swap(
+        exprs in prop::collection::vec(arb_expr(), 1..4),
+        constants in prop::collection::vec(any::<bool>(), 0..3),
+        walk in prop::collection::vec(0..NVARS - 1, 1..24),
+    ) {
+        // Multi-rooted, with terminal roots and a repeated root; random
+        // expressions over six variables leave plenty of level-skipping
+        // edges.
+        let mut mgr = BddManager::new(NVARS as usize);
+        let mut roots: Vec<NodeId> = exprs.iter().map(|e| e.build(&mut mgr)).collect();
+        roots.extend(constants.iter().map(|&c| if c { TRUE } else { FALSE }));
+        roots.push(roots[0]);
+        let mut truths: Vec<Vec<bool>> = exprs
+            .iter()
+            .map(|e| all_assignments().map(|a| e.eval(&a)).collect())
+            .chain(constants.iter().map(|&c| vec![c; 1 << NVARS]))
+            .collect();
+        truths.push(truths[0].clone());
+        // `width_profile` clamps each cut to ≥ 1; a cut is empty only
+        // when every root is FALSE (any other root has a path to TRUE
+        // crossing every cut), so that is the unclamped profile.
+        let all_false = roots.iter().all(|&r| r == FALSE);
+        let mut errors = Vec::new();
+        let remapped = mgr.crossing_walk_for_testing(&roots, &walk, |mgr, widths, nodes| {
+            let profile = mgr.width_profile(&roots);
+            for (c, &width) in widths.iter().enumerate() {
+                let expect = if all_false { 0 } else { profile.at_cut(c) };
+                if width != expect {
+                    errors.push(format!("order {:?}: cut {c} tracked {width}, recount {expect}", mgr.order()));
+                }
+            }
+            let expect = mgr.node_count_multi(&roots);
+            if nodes != expect {
+                errors.push(format!("order {:?}: tracked {nodes} nodes, recount {expect}", mgr.order()));
+            }
+            for (&r, truth) in roots.iter().zip(&truths) {
+                if !all_assignments().zip(truth).all(|(a, &t)| mgr.eval(r, &a) == t) {
+                    errors.push(format!("order {:?}: root {r:?} changed function", mgr.order()));
+                }
+            }
+        });
+        prop_assert!(errors.is_empty(), "{}", errors.join("\n"));
+        // The collected result matches the functional reference swap.
+        let mut reference = BddManager::new(NVARS as usize);
+        let mut expect: Vec<NodeId> = exprs.iter().map(|e| e.build(&mut reference)).collect();
+        expect.extend(constants.iter().map(|&c| if c { TRUE } else { FALSE }));
+        expect.push(expect[0]);
+        for &level in &walk {
+            expect = reference.swap_adjacent(level, &expect);
+        }
+        prop_assert_eq!(mgr.order(), reference.order());
+        prop_assert_eq!(mgr.width_profile(&remapped), reference.width_profile(&expect));
+        prop_assert_eq!(mgr.node_count_multi(&remapped), reference.node_count_multi(&expect));
+        prop_assert!(mgr.check_integrity().is_ok());
+    }
+
+    #[test]
     fn sifting_preserves_semantics(expr in arb_expr()) {
         let mut mgr = BddManager::new(NVARS as usize);
         let f = expr.build(&mut mgr);

@@ -152,7 +152,14 @@ impl IsfBdds {
     /// of other digits in the radix benchmarks) are not essential; this is
     /// what legitimizes interleaved orders like the decimal adder's
     /// carry-chain order under Definition 2.4.
+    ///
+    /// A completely specified output (`dc = 0`, `off = ¬on`, as in every
+    /// DC=0/DC=1 completion) has exactly one completion, so its essential
+    /// support is `support(on)`; that case skips the cofactor tests.
     pub fn essential_support_of_output(&self, mgr: &mut BddManager, j: usize) -> Vec<Var> {
+        if self.dc[j] == FALSE && self.off[j] == mgr.not(self.on[j]) {
+            return mgr.support(self.on[j]);
+        }
         self.support_of_output(mgr, j)
             .into_iter()
             .filter(|&x| {

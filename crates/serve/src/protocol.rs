@@ -41,11 +41,18 @@ use std::io::{self, Read, Write};
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
 /// Writes one frame: `u32` little-endian length, then the payload.
+///
+/// Prefix and payload go down in a single `write_all`, so a frame larger
+/// than a `BufWriter`'s buffer reaches the socket as one write rather than
+/// a 4-byte segment followed by the payload, which Nagle's algorithm would
+/// hold back until the peer's delayed ACK.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -750,6 +757,36 @@ mod tests {
             Some(&b""[..])
         );
         assert!(read_frame(&mut r, 64).expect("eof").is_none());
+    }
+
+    #[test]
+    fn a_frame_past_the_buffer_is_one_write() {
+        /// Counts the writes that reach the inner writer.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = vec![b'x'; 9 * 1024];
+        let mut w = io::BufWriter::new(Counting::default());
+        write_frame(&mut w, &payload).expect("write");
+        let inner = w.get_ref();
+        assert_eq!(inner.writes, 1, "prefix and payload in one write");
+        let mut r = &inner.bytes[..];
+        assert_eq!(
+            read_frame(&mut r, 1 << 20).expect("read").as_deref(),
+            Some(&payload[..])
+        );
     }
 
     #[test]

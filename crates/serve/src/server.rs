@@ -440,6 +440,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
 }
 
 fn conn_loop(inner: &Arc<Inner>, stream: TcpStream) {
+    // Replies are whole frames written at once; without this a reply's
+    // last segment waits for the client's delayed ACK on a kept-alive
+    // connection.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -32,6 +32,11 @@ fn sample_pla() -> tempdir::TempPla {
 /// Minimal temp-file helper (no external crates).
 mod tempdir {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Tests run in parallel and several write the same content, so every
+    /// instance gets its own file: pid plus a process-wide sequence number.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
 
     pub struct TempPla {
         pub path: PathBuf,
@@ -43,7 +48,7 @@ mod tempdir {
             path.push(format!(
                 "bddcf-cli-test-{}-{}.pla",
                 std::process::id(),
-                content.len()
+                NEXT.fetch_add(1, Ordering::Relaxed)
             ));
             std::fs::write(&path, content).expect("write temp pla");
             TempPla { path }
