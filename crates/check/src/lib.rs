@@ -39,7 +39,6 @@ use std::fmt;
 pub mod audit;
 pub mod cascade;
 pub mod cf;
-pub mod crashtest;
 pub mod inject;
 pub mod lint;
 pub mod manager;
@@ -53,7 +52,6 @@ pub use cascade::{
     check_cascade, check_cascade_against_oracle, check_multi_cascade_against_oracle,
 };
 pub use cf::{check_cascade_ready, check_cf};
-pub use crashtest::{run_crashtest, CrashTestOptions, CrashTestOutcome, KillOutcome};
 pub use inject::{
     run_injection, FaultKind, FaultOutcome, FaultResult, InjectionOptions, InjectionOutcome,
 };

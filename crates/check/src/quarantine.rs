@@ -6,8 +6,7 @@
 //!
 //! * [`run_quarantined`] wraps one benchmark's work in
 //!   [`std::panic::catch_unwind`]; a panic becomes a [`Quarantine`] record
-//!   (label + panic payload + last good checkpoint, if any) and the batch
-//!   moves on to the next benchmark.
+//!   (label + panic payload) and the batch moves on to the next benchmark.
 //! * [`quarantine_op`] wraps one operation against a live [`BddManager`];
 //!   if the operation panics, the manager is [poisoned]
 //!   (BddManager::poison) so every further budgeted operation returns
@@ -25,7 +24,6 @@
 use bddcf_bdd::BddManager;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
 
 /// A benchmark removed from a batch after panicking.
 #[derive(Clone, Debug)]
@@ -34,18 +32,11 @@ pub struct Quarantine {
     pub label: String,
     /// The panic payload, downcast to text when possible.
     pub payload: String,
-    /// The last checkpoint written before the panic, when the workload was
-    /// checkpointed — the restart point for a post-mortem resume.
-    pub last_checkpoint: Option<PathBuf>,
 }
 
 impl std::fmt::Display for Quarantine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: panicked with {:?}", self.label, self.payload)?;
-        match &self.last_checkpoint {
-            Some(path) => write!(f, " (last good checkpoint: {})", path.display()),
-            None => write!(f, " (no checkpoint written)"),
-        }
+        write!(f, "{}: panicked with {:?}", self.label, self.payload)
     }
 }
 
@@ -62,8 +53,7 @@ pub fn panic_payload_text(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Runs one benchmark's closure inside `catch_unwind`. On panic, returns a
-/// [`Quarantine`] (with `last_checkpoint` unset — callers that checkpoint
-/// fill it in) instead of unwinding into the batch loop.
+/// [`Quarantine`] instead of unwinding into the batch loop.
 ///
 /// The closure's captured state is considered lost on panic: anything that
 /// must survive (e.g. a manager that should be poisoned rather than
@@ -72,7 +62,6 @@ pub fn run_quarantined<T>(label: &str, f: impl FnOnce() -> T) -> Result<T, Quara
     panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| Quarantine {
         label: label.to_owned(),
         payload: panic_payload_text(payload.as_ref()),
-        last_checkpoint: None,
     })
 }
 
@@ -114,7 +103,7 @@ pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 /// A deliberately panicking [`Benchmark`](bddcf_funcs::Benchmark): its ISF
 /// construction panics before building anything. Batch harnesses append it
 /// to prove that one poisoned entry quarantines without aborting the rest
-/// of the batch (`bddcf crashtest --panic-probe`, and the quarantine tests).
+/// of the batch (`bddcf check --panic-probe`, and the quarantine tests).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PanicProbe;
 
@@ -216,7 +205,6 @@ mod tests {
         let q = out.expect_err("must quarantine");
         assert_eq!(q.label, "bad one");
         assert_eq!(q.payload, "boom 42");
-        assert!(q.last_checkpoint.is_none());
         // A healthy closure passes through untouched.
         let ok = run_quarantined("good one", || 7usize).expect("no panic");
         assert_eq!(ok, 7);
@@ -254,5 +242,40 @@ mod tests {
         })
         .expect_err("probe must panic");
         assert!(quarantined.payload.contains("quarantine probe"));
+    }
+
+    #[test]
+    fn panicking_benchmark_quarantines_without_aborting_the_batch() {
+        use crate::{check_benchmark, CheckOptions};
+        use bddcf_funcs::registry::small_benchmarks;
+        use bddcf_funcs::Benchmark;
+
+        let options = CheckOptions::default();
+        let mut completed = 0usize;
+        let mut quarantined = Vec::new();
+        with_quiet_panics(|| {
+            // A healthy benchmark, the panic probe, then another healthy
+            // one: the probe must not stop the third entry from running.
+            let suite = small_benchmarks();
+            let probe = PanicProbe;
+            let entries: Vec<(&str, &dyn Benchmark)> = vec![
+                (suite[1].label, suite[1].benchmark.as_ref()),
+                ("panic probe", &probe),
+                (suite[4].label, suite[4].benchmark.as_ref()),
+            ];
+            for (label, benchmark) in entries {
+                match run_quarantined(label, || check_benchmark(benchmark, &options)) {
+                    Ok(result) => {
+                        assert!(result.report.is_clean(), "{}", result.report);
+                        completed += 1;
+                    }
+                    Err(q) => quarantined.push(q),
+                }
+            }
+        });
+        assert_eq!(completed, 2, "both healthy benchmarks must finish");
+        assert_eq!(quarantined.len(), 1);
+        assert_eq!(quarantined[0].label, "panic probe");
+        assert!(quarantined[0].payload.contains("quarantine probe"));
     }
 }

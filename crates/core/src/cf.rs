@@ -474,9 +474,11 @@ impl Cf {
     /// Crate-internal reconstruction from checkpoint parts: a restored
     /// manager plus the recorded root and ISF ids. Validates that every id
     /// points into the restored arena and that the layout covers the
-    /// manager's variables; deeper semantic checks (Def. 2.4 invariants,
-    /// refinement) are the job of the `bddcf-check` oracles, which the
-    /// crash-recovery harness runs on every resumed state.
+    /// manager's variables. Deeper semantic checks (Def. 2.4 invariants,
+    /// refinement) happen downstream: under the `check` feature the
+    /// fixpoint loop asserts them on the restored state before resuming,
+    /// and `bddcf diskchaos` requires every resumed run's artifacts to be
+    /// byte-identical to an uninterrupted run's, then audits them.
     pub(crate) fn from_checkpoint_parts(
         mgr: BddManager,
         layout: CfLayout,

@@ -9,21 +9,22 @@
 //! file which is fsynced and then renamed into place — so a crash during a
 //! write can never leave a half-written checkpoint as the latest one.
 //!
-//! The checkpointed driver ([`Cf::reduce_to_fixpoint_checkpointed`]) is the
-//! governed fixpoint loop of [`Cf::reduce_to_fixpoint_governed`] with saves
-//! at every resumable boundary:
+//! The checkpointed driver ([`Cf::reduce_to_fixpoint_checkpointed`]) and
+//! [`LoadedCheckpoint::resume`] run the one fixpoint loop of
+//! [`crate::driver`] — the loop behind [`Cf::reduce_to_fixpoint_governed`]
+//! — with a save hook at every resumable boundary:
 //!
 //! * at the start of each fixpoint iteration (before support reduction),
 //! * at every Algorithm 3.3 cut boundary (via
 //!   [`Cf::reduce_alg33_governed_from`]),
 //! * and once more when the reduction finishes.
 //!
-//! Each boundary first garbage-collects χ, which makes the in-memory state
+//! The hook first garbage-collects χ, which makes the in-memory state
 //! *bit-identical* to its own serialized round trip: the resumed run and an
 //! uninterrupted run then execute the same deterministic operations on the
-//! same arenas, so their final cascades agree byte for byte. The
-//! crash-recovery harness in `bddcf-check` asserts exactly that on every
-//! registry benchmark.
+//! same arenas, so their final cascades agree byte for byte. `bddcf
+//! diskchaos` asserts exactly that at every storage-event crash prefix of
+//! its reductions, over a fault-injecting VFS.
 //!
 //! # Wire format (version 1)
 //!
@@ -70,7 +71,7 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 pub const CHECKPOINT_EXT: &str = "bddcfck";
 
 /// `next_cut` sentinel meaning the reduction is complete.
-const CUT_DONE: u32 = u32::MAX;
+pub(crate) const CUT_DONE: u32 = u32::MAX;
 
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug)]
@@ -136,7 +137,10 @@ pub enum Progress {
 }
 
 impl Progress {
-    fn encode(self) -> (u32, u32) {
+    /// The `(iteration, next_cut)` pair the fixpoint loop runs on and the
+    /// wire format stores (`next_cut` 0 = iteration start, [`CUT_DONE`] =
+    /// reduction done).
+    pub(crate) fn encode(self) -> (u32, u32) {
         match self {
             Progress::IterationStart { iteration } => (iteration, 0),
             Progress::Alg33Cut { iteration, cut } => (iteration, cut),
@@ -245,9 +249,24 @@ impl Checkpointer {
         self.last = Some(path.clone());
         Ok(path)
     }
+
+    /// The fixpoint loop's boundary hook: collect χ, then save it. After a
+    /// collect the arena equals its serialized round trip, which is what
+    /// makes resumed runs byte-identical to uninterrupted ones.
+    fn save_hook(
+        &mut self,
+    ) -> impl FnMut(&mut Cf, Progress, &FixpointCursor, &DegradationReport) -> io::Result<()> + '_
+    {
+        move |cf, progress, cursor, report| {
+            cf.collect();
+            self.save(cf, progress, cursor, report).map(drop)
+        }
+    }
 }
 
-fn checkpoint_seq(path: &Path) -> Option<u64> {
+/// Sequence number of a `ckpt-NNNNNN` checkpoint path; `None` for any
+/// other name, a quarantined `.corrupt` file included.
+pub fn checkpoint_seq(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let stem = name
         .strip_prefix("ckpt-")?
@@ -638,7 +657,7 @@ impl Cf {
     /// [`Cancelled`](bddcf_bdd::Error::Cancelled) cause makes the driver
     /// return `Ok(None)` *immediately*, without writing further
     /// checkpoints — this simulates the process dying at that point, and
-    /// is what the crash-recovery harness uses for deterministic kills.
+    /// is how the serve daemon parks a job for a later resume.
     /// Without it, every terminal cause degrades gracefully exactly like
     /// the plain governed driver and `Ok(Some(stats))` is returned.
     pub fn reduce_to_fixpoint_checkpointed(
@@ -649,21 +668,14 @@ impl Cf {
         ckpt: &mut Checkpointer,
         abort_on_cancel: bool,
     ) -> Result<Option<FixpointStats>, CheckpointError> {
-        let cursor = FixpointCursor {
-            current: (self.max_width() as u64, self.node_count() as u64),
-            removed_inputs: 0,
-        };
-        drive_fixpoint(
-            self,
+        Ok(self.reduce_to_fixpoint_governed_from(
             options,
             max_iterations,
             report,
-            ckpt,
+            None,
             abort_on_cancel,
-            1,
-            0,
-            cursor,
-        )
+            ckpt.save_hook(),
+        )?)
     }
 }
 
@@ -680,118 +692,16 @@ impl LoadedCheckpoint {
         ckpt: &mut Checkpointer,
         abort_on_cancel: bool,
     ) -> Result<(Cf, DegradationReport, Option<FixpointStats>), CheckpointError> {
-        let (iteration, next_cut) = self.progress.encode();
-        let mut report = self.report;
-        let stats = drive_fixpoint(
-            &mut self.cf,
+        let stats = self.cf.reduce_to_fixpoint_governed_from(
             options,
             max_iterations,
-            &mut report,
-            ckpt,
+            &mut self.report,
+            Some((self.progress, self.cursor)),
             abort_on_cancel,
-            iteration,
-            next_cut,
-            self.cursor,
+            ckpt.save_hook(),
         )?;
-        Ok((self.cf, report, stats))
+        Ok((self.cf, self.report, stats))
     }
-}
-
-/// Did a crash-simulating run hit its kill point?
-fn aborted(abort_on_cancel: bool, report: &DegradationReport) -> bool {
-    abort_on_cancel && matches!(report.terminal_cause(), Some(BudgetError::Cancelled))
-}
-
-/// The shared fixpoint loop behind fresh and resumed checkpointed runs.
-///
-/// Mirrors [`Cf::reduce_to_fixpoint_governed`] phase for phase (support
-/// reduction → Algorithm 3.1 ladder → Algorithm 3.3 ladder → convergence
-/// test), restructured around an explicit `(iteration, next_cut)` cursor so
-/// it can start mid-iteration. Every boundary collects garbage *before*
-/// saving: after a collect, the in-memory arena equals its serialized round
-/// trip, which is what makes resumed runs byte-identical to uninterrupted
-/// ones.
-#[allow(clippy::too_many_arguments)]
-fn drive_fixpoint(
-    cf: &mut Cf,
-    options: &Alg33Options,
-    max_iterations: usize,
-    report: &mut DegradationReport,
-    ckpt: &mut Checkpointer,
-    abort_on_cancel: bool,
-    mut iteration: u32,
-    mut next_cut: u32,
-    mut cursor: FixpointCursor,
-) -> Result<Option<FixpointStats>, CheckpointError> {
-    let max_iterations = max_iterations.max(1) as u32;
-    let initial = (cf.max_width(), cf.node_count());
-    'iterate: loop {
-        if next_cut == CUT_DONE {
-            break 'iterate;
-        }
-        if next_cut == 0 {
-            cf.collect();
-            ckpt.save(cf, Progress::IterationStart { iteration }, &cursor, report)?;
-            cursor.removed_inputs += cf.reduce_support_variables_governed(report).len() as u64;
-            if aborted(abort_on_cancel, report) {
-                return Ok(None);
-            }
-            if let Some(cause) = report.terminal_cause() {
-                report.record(Phase::Alg31, None, DegradeAction::StoppedIterating, cause);
-                break 'iterate;
-            }
-            match cf.try_reduce_alg31() {
-                Ok(_) => {}
-                Err(cause) if matches!(cause, BudgetError::NodeLimit { .. }) => {
-                    report.record(Phase::Alg31, None, DegradeAction::GcRetry, cause);
-                    cf.collect();
-                    if let Err(cause) = cf.try_reduce_alg31() {
-                        report.record(Phase::Alg31, None, DegradeAction::SkippedPhase, cause);
-                        cf.collect();
-                    }
-                }
-                Err(cause) => {
-                    report.record(Phase::Alg31, None, DegradeAction::SkippedPhase, cause);
-                    cf.collect();
-                }
-            }
-            if aborted(abort_on_cancel, report) {
-                return Ok(None);
-            }
-            if let Some(cause) = report.terminal_cause() {
-                report.record(Phase::Alg33, None, DegradeAction::StoppedIterating, cause);
-                break 'iterate;
-            }
-            next_cut = 1;
-        }
-        cf.reduce_alg33_governed_from(options, report, next_cut, |cf, cut, rep| {
-            cf.collect();
-            ckpt.save(cf, Progress::Alg33Cut { iteration, cut }, &cursor, rep)
-                .map(|_| ())
-        })?;
-        if aborted(abort_on_cancel, report) {
-            return Ok(None);
-        }
-        if let Some(cause) = report.terminal_cause() {
-            report.record(Phase::Alg33, None, DegradeAction::StoppedIterating, cause);
-            break 'iterate;
-        }
-        let now = (cf.max_width() as u64, cf.node_count() as u64);
-        if now >= cursor.current || iteration >= max_iterations {
-            break 'iterate;
-        }
-        cursor.current = now;
-        iteration += 1;
-        next_cut = 0;
-    }
-    cf.collect();
-    ckpt.save(cf, Progress::ReductionDone { iteration }, &cursor, report)?;
-    Ok(Some(FixpointStats {
-        iterations: iteration as usize,
-        removed_inputs: cursor.removed_inputs as usize,
-        max_width: (initial.0, cf.max_width()),
-        nodes: (initial.1, cf.node_count()),
-    }))
 }
 
 #[cfg(test)]
@@ -898,6 +808,16 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_seq_parses_checkpoint_names_only() {
+        assert_eq!(checkpoint_seq(Path::new("/d/ckpt-000007.bddcfck")), Some(7));
+        assert_eq!(
+            checkpoint_seq(Path::new("/d/ckpt-000007.bddcfck.corrupt")),
+            None
+        );
+        assert_eq!(checkpoint_seq(Path::new("/d/other.bin")), None);
+    }
+
+    #[test]
     fn checkpointer_writes_atomically_and_continues_sequences() {
         let dir = tmpdir("seq");
         let table = TruthTable::paper_table1();
@@ -965,7 +885,9 @@ mod tests {
             .reduce_to_fixpoint_checkpointed(&options, 5, &mut report, &mut ck, false)
             .expect("no I/O errors")
             .expect("not aborted");
-        assert_eq!(stats.max_width.1, plain_stats.max_width.1);
+        // Same loop, so the same widths, node counts and iteration count.
+        assert_eq!(stats, plain_stats);
+        assert_eq!(cf.node_count(), plain.node_count());
         assert!(report.is_clean());
         assert!(plain_report.is_clean());
         assert!(ck.last_path().is_some());
@@ -978,6 +900,27 @@ mod tests {
         assert_eq!(loaded.cf.node_count(), cf.node_count());
         let g = loaded.cf.complete();
         assert!(loaded.cf.realizes_original(&g));
+
+        // Resumed from any of its checkpoints, the run writes exactly the
+        // rest of the sequence, byte for byte: the loop re-enters at the
+        // recorded boundary (an Algorithm 3.3 cut too) on an identical arena.
+        let files = |dir: &Path| -> Vec<Vec<u8>> {
+            let found = checkpoints_desc(&StdVfs, dir).expect("scan");
+            let read = |(_, path): (u64, PathBuf)| fs::read(path).expect("read");
+            found.into_iter().rev().map(read).collect()
+        };
+        let full = files(&dir);
+        let progress = |bytes: &[u8]| decode_checkpoint(bytes).expect("decode").progress;
+        assert!(full
+            .iter()
+            .any(|b| matches!(progress(b), Progress::Alg33Cut { .. })));
+        for (i, bytes) in full.iter().enumerate() {
+            let resumed = dir.join(format!("resume-{i}"));
+            let mut ck = Checkpointer::new(&resumed).expect("create");
+            let loaded = decode_checkpoint(bytes).expect("decode");
+            loaded.resume(&options, 5, &mut ck, false).expect("resume");
+            assert!(files(&resumed) == full[i..], "resume from checkpoint {i}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

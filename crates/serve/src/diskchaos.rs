@@ -3,7 +3,9 @@
 //! Where `bddcf loadtest --kill` murders the *process*, this harness
 //! murders the *disk*. Both durable paths of the workspace — `BDDCFCKP`
 //! checkpoint sequences and the serve spool — are driven over a
-//! journaling [`FaultVfs`], and the harness then sweeps *crash points*:
+//! journaling [`FaultVfs`], and the harness then sweeps *crash points*
+//! (the checkpointed reduction of a built-in PLA plus any
+//! [`DiskChaosConfig::specs`], then a spooled serve session):
 //! for every storage-event prefix it rematerializes, via
 //! [`FaultVfs::crash_state`], the state an adversarial power loss could
 //! leave behind (fsync-lies model: un-fsynced file data torn or lost,
@@ -14,7 +16,11 @@
 //!   via [`bddcf_check::run_quarantined`]);
 //! * every checkpoint save that *returned* before the crash is still
 //!   found by [`latest_valid_checkpoint_vfs`] afterwards, and resuming
-//!   from it reproduces the uninterrupted run's artifacts byte for byte;
+//!   from it reproduces the uninterrupted run's artifacts byte for byte
+//!   (or, for a spec no single cascade realizes, its typed rejection).
+//!   Crash point 0 (an empty disk) is a crash before the first save and
+//!   reruns from scratch; the last prefix resumes from the
+//!   `ReductionDone` checkpoint, leaving only cascade synthesis;
 //! * zero accepted-and-replied serve requests are lost: each one still
 //!   owns a parseable `response.json` completion record carrying the
 //!   artifacts the client was promised, and a restarted daemon re-serves
@@ -45,9 +51,10 @@ use std::time::Duration;
 
 use bddcf_bdd::vfs::{splitmix64, FaultPlan, FaultVfs, Vfs, WriteFault};
 use bddcf_check::{audit_artifact_text, run_quarantined, with_quiet_panics};
+use bddcf_core::checkpoint::checkpoint_seq;
 use bddcf_core::latest_valid_checkpoint_vfs;
 
-use crate::job::{build_cf, execute, execute_vfs};
+use crate::job::{build_cf, execute, execute_vfs, ExecError, ExecOutcome};
 use crate::protocol::{
     read_frame, write_frame, Request, RequestBody, Response, ShutdownMode, Source, Status,
     SynthResult, SynthSpec, DEFAULT_MAX_FRAME,
@@ -55,7 +62,7 @@ use crate::protocol::{
 use crate::server::{parse_control_status, Server, ServerConfig};
 
 /// Harness configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct DiskChaosConfig {
     /// Seed for fault plans and crash-torn choices.
     pub seed: u64,
@@ -66,6 +73,9 @@ pub struct DiskChaosConfig {
     /// Negative control: every directory fsync silently lies, so renames
     /// never become durable. A correct harness must FAIL under this.
     pub drop_dir_sync: bool,
+    /// Specs whose checkpointed reductions are swept after the built-in
+    /// PLA's (`bddcf diskchaos <label>…` passes registry benchmarks).
+    pub specs: Vec<SynthSpec>,
 }
 
 impl Default for DiskChaosConfig {
@@ -75,19 +85,34 @@ impl Default for DiskChaosConfig {
             points: 0,
             requests: 6,
             drop_dir_sync: false,
+            specs: Vec::new(),
         }
     }
+}
+
+/// What the sweep of one checkpointed reduction covered.
+#[derive(Clone, Debug, Default)]
+pub struct ReductionSweep {
+    /// `reduction` for the built-in PLA, `reduction <label>` for a
+    /// registry benchmark, `reduction pla-<spec hash>` for another PLA.
+    pub label: String,
+    /// Storage events journaled by the checkpointed reduction.
+    pub events: usize,
+    /// Crash prefixes swept over the journal.
+    pub crash_points: usize,
+    /// Crash prefixes after at least one returned save, which therefore
+    /// resume from a surviving checkpoint instead of rerunning.
+    pub resumed: usize,
+    /// Seeded Nth-write fault runs (ENOSPC / EIO / short write).
+    pub fault_runs: usize,
 }
 
 /// What the sweep covered and every contract violation it found.
 #[derive(Clone, Debug, Default)]
 pub struct DiskChaosReport {
-    /// Storage events journaled by the checkpointed reduction.
-    pub reduction_events: usize,
-    /// Crash prefixes swept over the reduction journal.
-    pub reduction_crash_points: usize,
-    /// Seeded Nth-write fault runs (ENOSPC / EIO / short write).
-    pub reduction_fault_runs: usize,
+    /// One sweep per checkpointed reduction: the built-in PLA first, then
+    /// each of [`DiskChaosConfig::specs`].
+    pub reductions: Vec<ReductionSweep>,
     /// Storage events journaled by the serve spool session.
     pub serve_events: usize,
     /// Crash prefixes swept over the serve journal.
@@ -111,11 +136,18 @@ impl DiskChaosReport {
     /// Multi-line human summary (the CLI prints this verbatim).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "diskchaos: reduction: {} event(s), {} crash point(s), {} fault run(s)",
-            self.reduction_events, self.reduction_crash_points, self.reduction_fault_runs
-        );
+        for (i, sweep) in self.reductions.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "{} {}: {} event(s), {} crash point(s) ({} resumed), {} fault run(s)",
+                if i == 0 { "diskchaos:" } else { "          " },
+                sweep.label,
+                sweep.events,
+                sweep.crash_points,
+                sweep.resumed,
+                sweep.fault_runs
+            );
+        }
         let _ = writeln!(
             out,
             "           serve: {} event(s), {} crash point(s), {} request(s) replied",
@@ -149,7 +181,16 @@ impl DiskChaosReport {
 pub fn run_diskchaos(config: &DiskChaosConfig) -> Result<DiskChaosReport, String> {
     with_quiet_panics(|| {
         let mut report = DiskChaosReport::default();
-        reduction_sweep(config, &mut report)?;
+        let builtin = SynthSpec::new(Source::Pla(REDUCTION_PLA.into()));
+        for spec in std::iter::once(&builtin).chain(&config.specs) {
+            let label = match &spec.source {
+                Source::Registry(label) => format!("reduction {label}"),
+                Source::Pla(_) if spec == &builtin => "reduction".to_owned(),
+                Source::Pla(_) => format!("reduction pla-{}", spec.hash_hex()),
+            };
+            reduction_sweep(config, &label, spec, &mut report)
+                .map_err(|e| format!("{label}: {e}"))?;
+        }
         serve_sweep(config, &mut report)?;
         Ok(report)
     })
@@ -169,16 +210,6 @@ fn crash_points(total: usize, points: usize) -> Vec<usize> {
     out
 }
 
-/// Sequence number of a `ckpt-NNNNNN.bddcfck` path.
-fn ckpt_seq(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix("ckpt-")?
-        .strip_suffix(".bddcfck")?
-        .parse()
-        .ok()
-}
-
 /// The reduction under test: the 5-in/3-out smoke function, big enough
 /// to checkpoint at several fixpoint boundaries.
 const REDUCTION_PLA: &str = "\
@@ -195,17 +226,21 @@ const REDUCTION_PLA: &str = "\
 10101 1-0
 ";
 
-fn reduction_spec() -> SynthSpec {
-    SynthSpec::new(Source::Pla(REDUCTION_PLA.into()))
-}
-
-/// Phase A: sweep crash prefixes and seeded write faults over a
-/// checkpointed reduction.
-fn reduction_sweep(config: &DiskChaosConfig, report: &mut DiskChaosReport) -> Result<(), String> {
-    let spec = reduction_spec();
+/// Phase A: sweep crash prefixes and seeded write faults over the
+/// checkpointed reduction of `spec`. Violations carry `label`.
+fn reduction_sweep(
+    config: &DiskChaosConfig,
+    label: &str,
+    spec: &SynthSpec,
+    report: &mut DiskChaosReport,
+) -> Result<(), String> {
     let dir = PathBuf::from("/ckpt");
-    let baseline = execute(&spec, None, None, false)
-        .map_err(|e| format!("diskchaos baseline run failed: {e:?}"))?;
+    let mut sweep = ReductionSweep {
+        label: label.to_owned(),
+        ..ReductionSweep::default()
+    };
+    let mut violations = Vec::new();
+    let baseline = promised(execute(spec, None, None, false));
 
     // Recording run: a fault-free FaultVfs journals every storage event
     // the checkpointed reduction performs.
@@ -215,19 +250,16 @@ fn reduction_sweep(config: &DiskChaosConfig, report: &mut DiskChaosReport) -> Re
         ..FaultPlan::default()
     });
     let shared: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let recorded = execute_vfs(&spec, None, Some(&dir), false, &shared)
-        .map_err(|e| format!("diskchaos recording run failed: {e:?}"))?;
-    if recorded.storage_degraded {
+    let recorded = execute_vfs(spec, None, Some(&dir), false, &shared);
+    if recorded.as_ref().is_ok_and(|out| out.storage_degraded) {
         return Err("diskchaos recording run degraded on a fault-free disk".into());
     }
-    if recorded.result != baseline.result {
-        report
-            .violations
-            .push("recording run diverged from the in-memory baseline".into());
+    if promised(recorded) != baseline {
+        violations.push("recording run diverged from the in-memory baseline".into());
     }
 
     let journal = vfs.journal();
-    report.reduction_events = journal.len();
+    sweep.events = journal.len();
 
     // A `Checkpointer::save` returns only after the covering directory
     // fsync, so the SyncDir events on the checkpoint directory mark
@@ -240,21 +272,21 @@ fn reduction_sweep(config: &DiskChaosConfig, report: &mut DiskChaosReport) -> Re
         .collect();
 
     for k in crash_points(journal.len(), config.points) {
-        report.reduction_crash_points += 1;
+        sweep.crash_points += 1;
         let completed_saves = save_returns.iter().filter(|&&index| index < k).count() as u64;
+        if completed_saves > 0 {
+            sweep.resumed += 1;
+        }
         let crashed: Arc<dyn Vfs> =
             Arc::new(vfs.crash_state(k, splitmix64(config.seed ^ 0xa11c_e000 ^ k as u64)));
-        let spec = spec.clone();
-        let baseline_result = baseline.result.clone();
-        let dir = dir.clone();
-        let outcome = run_quarantined(&format!("reduction crash point {k}"), move || {
+        let outcome = run_quarantined(&format!("reduction crash point {k}"), || {
             // Saves are sequential from 0, so `completed_saves` returned
             // saves promise a surviving checkpoint of sequence at least
             // `completed_saves - 1`.
             if completed_saves > 0 {
                 match latest_valid_checkpoint_vfs(crashed.as_ref(), &dir) {
                     Ok(Some((path, _loaded))) => {
-                        let seq = ckpt_seq(&path);
+                        let seq = checkpoint_seq(&path);
                         if seq.is_none() || seq.is_some_and(|s| s + 1 < completed_saves) {
                             return Err(format!(
                                 "crash point {k}: {completed_saves} save(s) returned but the \
@@ -274,20 +306,18 @@ fn reduction_sweep(config: &DiskChaosConfig, report: &mut DiskChaosReport) -> Re
                     }
                 }
             }
-            match execute_vfs(&spec, None, Some(&dir), true, &crashed) {
-                Ok(out) if out.result == baseline_result => Ok(()),
+            match promised(execute_vfs(spec, None, Some(&dir), true, &crashed)) {
+                recovered if recovered == baseline => Ok(()),
                 Ok(_) => Err(format!(
                     "crash point {k}: recovered artifacts diverge from the baseline"
                 )),
-                Err(e) => Err(format!("crash point {k}: recovery failed: {e:?}")),
+                Err(e) => Err(format!("crash point {k}: recovery failed: {e}")),
             }
         });
         match outcome {
             Ok(Ok(())) => {}
-            Ok(Err(violation)) => report.violations.push(violation),
-            Err(q) => report
-                .violations
-                .push(format!("reduction recovery panicked: {q}")),
+            Ok(Err(violation)) => violations.push(violation),
+            Err(q) => violations.push(format!("recovery panicked: {q}")),
         }
     }
 
@@ -299,7 +329,7 @@ fn reduction_sweep(config: &DiskChaosConfig, report: &mut DiskChaosReport) -> Re
     let fault_runs = (total_writes.min(6)) as usize;
     for i in 0..fault_runs {
         let nth = i as u64 * total_writes / fault_runs as u64;
-        report.reduction_fault_runs += 1;
+        sweep.fault_runs += 1;
         let faulty = FaultVfs::with_plan(FaultPlan {
             seed: splitmix64(config.seed ^ 0xfa17 ^ nth),
             fail_write: Some(nth),
@@ -308,20 +338,22 @@ fn reduction_sweep(config: &DiskChaosConfig, report: &mut DiskChaosReport) -> Re
             ..FaultPlan::default()
         });
         let faulty_shared: Arc<dyn Vfs> = Arc::new(faulty.clone());
-        match execute_vfs(&spec, None, Some(&dir), false, &faulty_shared) {
+        match execute_vfs(spec, None, Some(&dir), false, &faulty_shared) {
             Ok(out) => {
                 if !out.storage_degraded {
-                    report.violations.push(format!(
+                    violations.push(format!(
                         "write fault at op {nth} was absorbed without the storage_degraded flag"
                     ));
                 }
-                if out.result != baseline.result {
-                    report.violations.push(format!(
+                if baseline.as_ref() != Ok(&out.result) {
+                    violations.push(format!(
                         "write fault at op {nth}: degraded run diverged from the baseline"
                     ));
                 }
             }
-            Err(e) => report.violations.push(format!(
+            // The fallback run reproduced the baseline's own rejection.
+            Err(e) if baseline.as_ref().err() == Some(&format!("{e:?}")) => {}
+            Err(e) => violations.push(format!(
                 "write fault at op {nth} failed the job instead of degrading: {e:?}"
             )),
         }
@@ -329,9 +361,22 @@ fn reduction_sweep(config: &DiskChaosConfig, report: &mut DiskChaosReport) -> Re
     }
 
     // Every crash recovery above was asserted byte-identical to the
-    // baseline, so auditing the baseline audits every surviving artifact.
-    audit_result(&spec, &baseline.result, "reduction artifacts", report);
+    // baseline, so auditing the baseline audits every surviving artifact
+    // (a rejected spec has none).
+    if let Ok(result) = &baseline {
+        audit_result(spec, result, &format!("{label} artifacts"), report);
+    }
+    let prefixed = violations.into_iter().map(|v| format!("{label}: {v}"));
+    report.violations.extend(prefixed);
+    report.reductions.push(sweep);
     Ok(())
+}
+
+/// What a job promised: its artifacts, or the typed rejection (a function
+/// no single cascade realizes, say) that a faithful recovery must
+/// reproduce just the same.
+fn promised(run: Result<ExecOutcome, ExecError>) -> Result<SynthResult, String> {
+    run.map(|out| out.result).map_err(|e| format!("{e:?}"))
 }
 
 /// One accepted-and-replied request of the recorded serve session.
@@ -614,23 +659,35 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_seq_parses_checkpoint_names_only() {
-        assert_eq!(ckpt_seq(Path::new("/d/ckpt-000007.bddcfck")), Some(7));
-        assert_eq!(ckpt_seq(Path::new("/d/ckpt-000007.bddcfck.corrupt")), None);
-        assert_eq!(ckpt_seq(Path::new("/d/other.bin")), None);
-    }
-
-    #[test]
     fn small_diskchaos_run_passes() {
         let config = DiskChaosConfig {
             seed: 3,
             points: 4,
             requests: 3,
             drop_dir_sync: false,
+            // The second spec's 2-input cells cannot realize the PLA: its
+            // recoveries must reproduce the rejection.
+            specs: vec![
+                SynthSpec::new(Source::Registry("3-5 RNS".into())),
+                SynthSpec {
+                    max_in: 2,
+                    ..SynthSpec::new(Source::Pla(REDUCTION_PLA.into()))
+                },
+            ],
         };
         let report = run_diskchaos(&config).expect("harness runs");
         assert!(report.passed(), "{}", report.render());
-        assert!(report.reduction_events > 0);
+        assert_eq!(report.reductions.len(), 3, "built-in PLA + 2 specs");
+        for sweep in &report.reductions {
+            assert!(sweep.events > 0, "{}", report.render());
+            // Crash point 0 (an empty disk) reruns from scratch; the last
+            // prefix resumes from the `ReductionDone` checkpoint.
+            assert!(
+                0 < sweep.resumed && sweep.resumed < sweep.crash_points,
+                "{}",
+                report.render()
+            );
+        }
         assert!(report.serve_events > 0);
         assert_eq!(report.serve_replied, 3);
         assert!(report.faults_injected > 0);
@@ -647,6 +704,7 @@ mod tests {
             points: 4,
             requests: 2,
             drop_dir_sync: true,
+            specs: Vec::new(),
         };
         let report = run_diskchaos(&config).expect("harness runs");
         assert!(

@@ -48,7 +48,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::ResponseCache;
-pub use diskchaos::{run_diskchaos, DiskChaosConfig, DiskChaosReport};
+pub use diskchaos::{run_diskchaos, DiskChaosConfig, DiskChaosReport, ReductionSweep};
 pub use job::{build_cf, execute, execute_vfs, resolve_benchmark, ExecError, ExecOutcome};
 pub use loadtest::{run_loadtest, LoadTestConfig, LoadTestReport};
 pub use pool::{AdmitError, PoolConfig, WorkerPool};

@@ -30,7 +30,7 @@ use crate::protocol::{
     Status, SynthResult, SynthSpec,
 };
 use crate::server::{parse_control_status, Server, ServerConfig};
-use bddcf_bdd::Budget;
+use bddcf_bdd::{splitmix64, Budget};
 use bddcf_check::audit_artifact_text;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter};
@@ -160,14 +160,6 @@ impl LoadTestReport {
         });
         out
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The request mix, derived deterministically from `(seed, index)`.

@@ -1,9 +1,9 @@
-//! `bddcf-analyze` — the XL1xx dataflow lint series.
+//! `bddcf-analyze` — every workspace lint series in one pass.
 //!
-//! Where the XL0xx lints ([`crate::lint_source`]) scan flat tokens, the
-//! XL1xx passes analyze statement-structured bodies (via the vendored
-//! `syn` body parser and CFG builder) with workspace-wide function
-//! summaries:
+//! Each file is parsed once. The XL0xx lints (XL001–XL003, see the crate
+//! root) check its items and flat tokens; the XL1xx passes analyze
+//! statement-structured bodies (via the vendored `syn` body parser and CFG
+//! builder) with workspace-wide function summaries:
 //!
 //! - **XL101** NodeId provenance — node ids must stay with the manager
 //!   that created them (across lets, reassignments, fields, and calls
@@ -46,11 +46,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::dataflow::{ConcSummaries, Summaries};
-use crate::{allow_map, collect_rs_files, passes, Finding, XL000_PARSE};
+use crate::{allow_map, lint_parsed, passes, Finding, XL000_PARSE};
 
 /// Analyzes a set of `(workspace-relative path, source)` files as one
-/// unit: summaries are built across all of them, then every XL1xx pass
-/// runs on each. Unparseable files surface as [`XL000_PARSE`] findings.
+/// unit: summaries are built across all of them, then XL001–XL003 and
+/// every XL1xx/XL2xx pass run on each. An unparseable file surfaces as one
+/// [`XL000_PARSE`] finding.
 pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut parsed = Vec::new();
@@ -84,6 +85,7 @@ pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
         passes::blocking::run(rel, file, allow, &conc, &mut findings);
         passes::spawn_capture::run(rel, file, source, allow, &summaries, &mut findings);
         if let Ok(tokens) = syn::tokenize(source) {
+            lint_parsed(rel, file, &tokens, allow, &mut findings);
             passes::concurrency::run(rel, &tokens, allow, &mut findings);
             passes::unsafe_doc::run(rel, &tokens, source, allow, &mut findings);
         }
@@ -101,9 +103,9 @@ pub fn analyze_source(rel: &str, source: &str) -> Vec<Finding> {
     analyze_sources(&[(rel.to_string(), source.to_string())])
 }
 
-/// Runs the XL1xx series over every `.rs` file under `<root>/src` and
-/// `<root>/crates/*/src` (the lint crate itself excluded, like
-/// [`crate::lint_workspace`]).
+/// Runs every series over each `.rs` file under `<root>/src` and
+/// `<root>/crates/*/src` (the lint crate itself excluded — its fixtures
+/// would trip the rules).
 ///
 /// # Errors
 ///
@@ -143,12 +145,24 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(analyze_sources(&files))
 }
 
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            collect_rs_files(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn the_real_workspace_is_xl1xx_clean() {
+    fn the_real_workspace_is_clean() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(Path::parent)

@@ -1,9 +1,11 @@
-//! `bddcf-analyze`: runs the XL1xx dataflow lint series (NodeId
-//! provenance, GC-escape, budget-poll, panic-surface, concurrency-
-//! readiness, undocumented unsafe) and the XL2xx concurrency series
-//! (lock-order graphs, blocking-under-guard, Condvar discipline,
-//! atomics ordering, spawn-capture provenance) over the workspace and
-//! prints machine-readable findings (`file:line: [ID] message`).
+//! `bddcf-analyze`: runs every workspace source lint series — XL0xx
+//! (infallible ops on governed paths, format-magic leaks, ungated
+//! budgeted entry points), the XL1xx dataflow series (NodeId provenance,
+//! GC-escape, budget-poll, panic-surface, concurrency-readiness,
+//! undocumented unsafe) and the XL2xx concurrency series (lock-order
+//! graphs, blocking-under-guard, Condvar discipline, atomics ordering,
+//! spawn-capture provenance) — over the workspace and prints
+//! machine-readable findings (`file:line: [ID] message`).
 //!
 //! Usage: `bddcf-analyze [workspace-root]` (default: the current
 //! directory). Exits 0 when clean, 1 when any finding survives, 2 on
@@ -28,7 +30,7 @@ fn main() -> ExitCode {
     }
     match bddcf_xlint::analyze::analyze_workspace(Path::new(&root)) {
         Ok(findings) if findings.is_empty() => {
-            println!("analyze: workspace clean (XL101–XL106, XL201–XL205)");
+            println!("analyze: workspace clean (XL001–XL003, XL101–XL106, XL201–XL205)");
             ExitCode::SUCCESS
         }
         Ok(findings) => {

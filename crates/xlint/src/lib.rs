@@ -1,5 +1,5 @@
 //! Workspace-specific source lints for the governed BDD paths
-//! (`bddcf-xlint`).
+//! (`bddcf-analyze`).
 //!
 //! The resource governor (PR 2) splits every `BddManager` operation into
 //! an infallible twin (`and`, panics when poisoned / ignores budgets) and
@@ -24,9 +24,10 @@
 //! A finding on line `L` can be waived with `// xlint: allow(XLnnn)` on
 //! line `L` or `L-1`. `#[cfg(test)]` subtrees are never linted.
 //!
-//! The XL1xx series — dataflow-level analyses over statement-structured
-//! bodies (`bddcf-analyze`) — lives in [`analyze`]; see that module and
-//! the catalog constants below.
+//! The XL1xx and XL2xx series — dataflow and concurrency analyses over
+//! statement-structured bodies — live in [`analyze`], which also runs
+//! XL001–XL003 on every parsed file; see that module and the catalog
+//! constants below.
 
 #![forbid(unsafe_code)]
 
@@ -38,9 +39,6 @@ pub(crate) mod passes;
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use syn::{File, Item, ItemFn, TokenStream};
 
@@ -369,91 +367,18 @@ fn lint_ungated_entries(
     }
 }
 
-/// Lints one source file as if it lived at workspace-relative path `rel`.
-/// A parse failure yields a single [`XL000_PARSE`] finding.
-pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
-    let allow = allow_map(source);
-    let mut findings = Vec::new();
-    let tokens = match syn::tokenize(source) {
-        Ok(t) => t,
-        Err(e) => {
-            return vec![Finding {
-                file: rel.to_string(),
-                line: e.line,
-                id: XL000_PARSE,
-                message: format!("cannot lex: {}", e.message),
-            }]
-        }
-    };
-    lint_magic_leaks(rel, &tokens, &allow, &mut findings);
-    match syn::parse_file(source) {
-        Ok(file) => {
-            lint_infallible_ops(rel, &file, &allow, &mut findings);
-            lint_ungated_entries(rel, &file, &allow, &mut findings);
-        }
-        Err(e) => findings.push(Finding {
-            file: rel.to_string(),
-            line: e.line,
-            id: XL000_PARSE,
-            message: format!("cannot parse: {}", e.message),
-        }),
-    }
-    findings.sort_by(|a, b| (a.line, a.id).cmp(&(b.line, b.id)));
-    findings
-}
-
-pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            collect_rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Lints every `.rs` file under `<root>/src` and `<root>/crates/*/src`
-/// (the lint crate itself excluded — its fixtures would trip the rules).
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the directory walk.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    let src = root.join("src");
-    if src.is_dir() {
-        collect_rs_files(&src, &mut files)?;
-    }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir() && p.file_name().is_some_and(|n| n != "xlint"))
-            .collect();
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            let src = dir.join("src");
-            if src.is_dir() {
-                collect_rs_files(&src, &mut files)?;
-            }
-        }
-    }
-    files.sort();
-    let mut findings = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let source = fs::read_to_string(&path)?;
-        findings.extend(lint_source(&rel, &source));
-    }
-    Ok(findings)
+/// XL001–XL003 over one parsed file (`tokens` is its raw token stream);
+/// [`analyze::analyze_sources`] runs it on every file it parses.
+pub(crate) fn lint_parsed(
+    rel: &str,
+    file: &File,
+    tokens: &TokenStream,
+    allow: &HashMap<usize, Vec<String>>,
+    findings: &mut Vec<Finding>,
+) {
+    lint_magic_leaks(rel, tokens, allow, findings);
+    lint_infallible_ops(rel, file, allow, findings);
+    lint_ungated_entries(rel, file, allow, findings);
 }
 
 #[cfg(test)]
@@ -468,7 +393,7 @@ mod tests {
     fn xl001_fires_on_an_infallible_op_in_a_governed_file() {
         let src = "fn step(mgr: &mut BddManager, a: NodeId, b: NodeId) -> NodeId {\n\
                    \x20   mgr.and(a, b)\n}\n";
-        let findings = lint_source("crates/core/src/driver.rs", src);
+        let findings = analyze::analyze_source("crates/core/src/driver.rs", src);
         assert_eq!(ids(&findings), [XL001_INFALLIBLE_OP]);
         assert_eq!(findings[0].line, 2);
         assert!(findings[0].message.contains("try_and"));
@@ -481,7 +406,7 @@ mod tests {
                    \x20   pub fn try_reduce(&mut self) { self.mgr.or(a, b); }\n\
                    \x20   pub fn reduce_alg33_governed(&mut self) { self.mgr.ite(f, g, h); }\n\
                    }\n";
-        let findings = lint_source("crates/core/src/cf.rs", src);
+        let findings = analyze::analyze_source("crates/core/src/cf.rs", src);
         assert_eq!(ids(&findings), [XL001_INFALLIBLE_OP, XL001_INFALLIBLE_OP]);
         assert_eq!(findings[0].line, 3);
         assert_eq!(findings[1].line, 4);
@@ -490,9 +415,9 @@ mod tests {
     #[test]
     fn xl001_skips_test_modules_and_ungoverned_files() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(mgr: &mut M) { mgr.and(a, b); }\n}\n";
-        assert!(lint_source("crates/core/src/driver.rs", src).is_empty());
+        assert!(analyze::analyze_source("crates/core/src/driver.rs", src).is_empty());
         let src = "fn free(mgr: &mut M) { mgr.and(a, b); }\n";
-        assert!(lint_source("crates/decomp/src/lib.rs", src).is_empty());
+        assert!(analyze::analyze_source("crates/decomp/src/lib.rs", src).is_empty());
     }
 
     #[test]
@@ -501,7 +426,7 @@ mod tests {
                    \x20   // xlint: allow(XL001)\n\
                    \x20   mgr.and(a, b);\n\
                    \x20   mgr.or(a, b);\n}\n";
-        let findings = lint_source("crates/cascade/src/synth.rs", src);
+        let findings = analyze::analyze_source("crates/cascade/src/synth.rs", src);
         assert_eq!(ids(&findings), [XL001_INFALLIBLE_OP]);
         assert_eq!(findings[0].line, 4, "only the unwaived call remains");
     }
@@ -509,13 +434,13 @@ mod tests {
     #[test]
     fn xl002_fires_outside_the_defining_module_only() {
         let src = "use crate::snapshot::SNAPSHOT_MAGIC;\n";
-        let findings = lint_source("crates/bdd/src/manager.rs", src);
+        let findings = analyze::analyze_source("crates/bdd/src/manager.rs", src);
         assert_eq!(ids(&findings), [XL002_MAGIC_LEAK]);
         assert_eq!(findings[0].line, 1);
-        assert!(lint_source("crates/bdd/src/snapshot.rs", src).is_empty());
+        assert!(analyze::analyze_source("crates/bdd/src/snapshot.rs", src).is_empty());
         // Mentions in comments or strings do not count.
         let src = "// SNAPSHOT_MAGIC\nfn f() { let s = \"SNAPSHOT_MAGIC\"; }\n";
-        assert!(lint_source("crates/io/src/verilog.rs", src).is_empty());
+        assert!(analyze::analyze_source("crates/io/src/verilog.rs", src).is_empty());
     }
 
     #[test]
@@ -525,7 +450,7 @@ mod tests {
                    \x20       Ok(f)\n\
                    \x20   }\n\
                    }\n";
-        let findings = lint_source(MANAGER_FILE, src);
+        let findings = analyze::analyze_source(MANAGER_FILE, src);
         assert_eq!(ids(&findings), [XL003_UNGATED_ENTRY]);
         assert_eq!(findings[0].line, 2);
     }
@@ -542,7 +467,10 @@ mod tests {
                 "impl BddManager {{\n    pub fn try_x(&mut self, f: NodeId) \
                  -> Result<NodeId, Error> {{ {body} }}\n}}\n"
             );
-            assert!(lint_source(MANAGER_FILE, &src).is_empty(), "{body}");
+            assert!(
+                analyze::analyze_source(MANAGER_FILE, &src).is_empty(),
+                "{body}"
+            );
         }
         // Transitive gating: the entry delegates to a private helper that
         // charges (the `try_from_minterms` shape).
@@ -555,31 +483,26 @@ mod tests {
                    \x20       Ok(f)\n\
                    \x20   }\n\
                    }\n";
-        assert!(lint_source(MANAGER_FILE, src).is_empty(), "transitive gate");
+        assert!(
+            analyze::analyze_source(MANAGER_FILE, src).is_empty(),
+            "transitive gate"
+        );
         // Validation-only entries returning another error type are exempt.
         let src = "impl BddManager {\n    pub fn try_set_order(&mut self) \
                    -> Result<(), OrderError> { Ok(()) }\n}\n";
-        assert!(lint_source(MANAGER_FILE, src).is_empty());
+        assert!(analyze::analyze_source(MANAGER_FILE, src).is_empty());
         // Private helpers are exempt (the pub surface is the contract).
         let src = "impl BddManager {\n    fn try_quiet(&mut self) \
                    -> Result<NodeId, Error> { Ok(FALSE) }\n}\n";
-        assert!(lint_source(MANAGER_FILE, src).is_empty());
+        assert!(analyze::analyze_source(MANAGER_FILE, src).is_empty());
     }
 
     #[test]
-    fn unlexable_source_surfaces_as_xl000() {
-        let findings = lint_source("crates/bdd/src/manager.rs", "fn f() { \"open\n");
-        assert_eq!(ids(&findings), [XL000_PARSE]);
-    }
-
-    #[test]
-    fn the_real_workspace_is_clean() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(Path::parent)
-            .expect("crates/xlint sits two levels below the root");
-        let findings = lint_workspace(root).expect("workspace readable");
-        let rendered: Vec<String> = findings.iter().map(ToString::to_string).collect();
-        assert!(findings.is_empty(), "{}", rendered.join("\n"));
+    fn an_unparseable_file_is_one_xl000() {
+        // Unlexable, then lexable but unbalanced: each is one finding.
+        for src in ["fn f() { \"open\n", "fn f() {\n    g(;\n"] {
+            let findings = analyze::analyze_source("crates/core/src/driver.rs", src);
+            assert_eq!(ids(&findings), [XL000_PARSE], "{src:?}");
+        }
     }
 }

@@ -87,8 +87,10 @@ fn fill(mgr: &mut BddManager, keep: &mut Vec<NodeId>) -> NodeId {
 
 #[test]
 fn xl103_flags_unpolled_working_loop_and_accepts_the_fix() {
-    // driver.rs is a governed file: the loop does manager work on every
-    // iteration but never polls the budget.
+    // degrade.rs is on the governed path (XL103/XL104 scope, but not the
+    // XL001 whole-file list, so the bare `.and` is not a second finding):
+    // the loop does manager work on every iteration but never polls the
+    // budget.
     let buggy = "\
 fn saturate(mgr: &mut BddManager, mut acc: NodeId) -> NodeId {
     for _ in 0..8 {
@@ -98,7 +100,7 @@ fn saturate(mgr: &mut BddManager, mut acc: NodeId) -> NodeId {
 }
 ";
     expect(
-        "crates/core/src/driver.rs",
+        "crates/core/src/degrade.rs",
         buggy,
         &[(XL103_BUDGET_POLL, 2)],
     );
@@ -113,7 +115,7 @@ fn saturate(mgr: &mut BddManager, mut acc: NodeId) -> Result<NodeId, Error> {
     Ok(acc)
 }
 ";
-    expect("crates/core/src/driver.rs", clean, &[]);
+    expect("crates/core/src/degrade.rs", clean, &[]);
 }
 
 #[test]

@@ -1,19 +1,19 @@
 //! End-to-end contract of the `bddcf-analyze` binary: the exit codes
-//! (0 clean / 1 findings / 2 usage or I/O error) and the shared
-//! `// xlint: allow(XLnnn)` waiver syntax apply to the XL2xx concurrency
-//! series exactly as they do to XL1xx.
+//! (0 clean / 1 findings / 2 usage or I/O error) cover the XL0xx series
+//! too, and the shared `// xlint: allow(XLnnn)` waiver syntax applies to
+//! the XL2xx concurrency series exactly as it does to XL1xx.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Builds a throwaway workspace containing one crate with `source` as
-/// its lib.rs and returns its root.
-fn scratch_workspace(tag: &str, source: &str) -> PathBuf {
+/// Builds a throwaway workspace holding `source` at the workspace-relative
+/// path `rel` and returns its root.
+fn scratch_workspace(tag: &str, rel: &str, source: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("bddcf-analyze-cli-{tag}-{}", std::process::id()));
-    let src = root.join("crates").join("app").join("src");
-    fs::create_dir_all(&src).expect("scratch dir");
-    fs::write(src.join("lib.rs"), source).expect("scratch lib.rs");
+    let path = root.join(rel);
+    fs::create_dir_all(path.parent().expect("rel names a file")).expect("scratch dir");
+    fs::write(&path, source).expect("scratch source");
     root
 }
 
@@ -28,6 +28,8 @@ fn run_analyze(root: &PathBuf) -> (Option<i32>, String, String) {
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
+
+const APP: &str = "crates/app/src/lib.rs";
 
 const CLEAN: &str = "\
 fn tally(xs: &[u64]) -> u64 {
@@ -58,20 +60,37 @@ fn wait_ready(state: &Mutex<bool>, cv: &Condvar) {
 ";
 
 #[test]
-fn clean_workspace_exits_zero_and_names_both_series() {
-    let root = scratch_workspace("clean", CLEAN);
+fn clean_workspace_exits_zero_and_names_every_series() {
+    let root = scratch_workspace("clean", APP, CLEAN);
     let (code, stdout, _) = run_analyze(&root);
     fs::remove_dir_all(&root).ok();
     assert_eq!(code, Some(0), "clean tree must exit 0; stdout: {stdout}");
     assert!(
-        stdout.contains("XL101–XL106, XL201–XL205"),
-        "the clean banner covers both series: {stdout}"
+        stdout.contains("XL001–XL003, XL101–XL106, XL201–XL205"),
+        "the clean banner covers all three series: {stdout}"
+    );
+}
+
+#[test]
+fn xl001_finding_on_a_governed_path_exits_one() {
+    let source = "\
+fn step(mgr: &mut BddManager, a: NodeId, b: NodeId) -> NodeId {
+    mgr.and(a, b)
+}
+";
+    let root = scratch_workspace("xl001", "crates/core/src/driver.rs", source);
+    let (code, stdout, stderr) = run_analyze(&root);
+    fs::remove_dir_all(&root).ok();
+    assert_eq!(code, Some(1), "findings must exit 1; stderr: {stderr}");
+    assert!(
+        stdout.contains("crates/core/src/driver.rs:2: [XL001]"),
+        "the infallible op is reported: {stdout}"
     );
 }
 
 #[test]
 fn xl2xx_finding_exits_one_with_machine_readable_output() {
-    let root = scratch_workspace("buggy", BUGGY);
+    let root = scratch_workspace("buggy", APP, BUGGY);
     let (code, stdout, stderr) = run_analyze(&root);
     fs::remove_dir_all(&root).ok();
     assert_eq!(code, Some(1), "findings must exit 1; stderr: {stderr}");
@@ -83,7 +102,7 @@ fn xl2xx_finding_exits_one_with_machine_readable_output() {
 
 #[test]
 fn allow_comment_waives_an_xl2xx_finding() {
-    let root = scratch_workspace("waived", WAIVED);
+    let root = scratch_workspace("waived", APP, WAIVED);
     let (code, stdout, _) = run_analyze(&root);
     fs::remove_dir_all(&root).ok();
     assert_eq!(

@@ -39,13 +39,6 @@
 //!     Reconstruct a reduction from a crash-safe checkpoint and continue it
 //!     from the recorded level; optionally synthesize the cascade.
 //!
-//! bddcf crashtest [label-substring...] [--suite small|table4] [--seed N]
-//!                 [--kill-points N] [--max-iter N] [--dir D] [--panic-probe]
-//!     Crash-recovery audit: kill the pipeline at seeded step counts,
-//!     resume from the latest checkpoint, and require the recovered cascade
-//!     to be byte-identical to an uninterrupted run; exits nonzero on any
-//!     divergence, refinement violation, or quarantined benchmark.
-//!
 //! bddcf bench [--suite small|table4|table5[,…]] [--json] [-o report.json]
 //!             [--diff BASELINE.json] [--tolerance FRACTION]
 //!     Run the measurement suites (wall clock, peak nodes, probe lengths,
@@ -69,21 +62,23 @@
 //!     was lost and every artifact is byte-identical and passes the audit
 //!     stack.
 //!
-//! bddcf diskchaos [--seed N] [--points N] [--requests N] [--drop-dir-sync]
-//!     Hostile-disk harness: records every storage event of a checkpointed
-//!     reduction and a spooled serve session on a fault-injecting VFS, then
-//!     sweeps power-loss crash prefixes (fsync-lies model) and seeded
-//!     ENOSPC/EIO/short-write faults, asserting recovery never panics,
-//!     resumes byte-identically, loses no accepted-and-replied request, and
-//!     every surviving artifact passes the audit stack. --drop-dir-sync is
-//!     the negative control: directory fsyncs silently lie and the sweep
-//!     must fail.
+//! bddcf diskchaos [label-substring...] [--suite small|table4] [--seed N]
+//!                 [--points N] [--requests N] [--drop-dir-sync]
+//!     Hostile-disk and crash-recovery harness: records every storage event
+//!     of the checkpointed reductions (a built-in PLA plus the selected
+//!     registry benchmarks) and of a spooled serve session on a
+//!     fault-injecting VFS, then sweeps power-loss crash prefixes
+//!     (fsync-lies model) and seeded ENOSPC/EIO/short-write faults,
+//!     asserting recovery never panics, resumes byte-identically, loses no
+//!     accepted-and-replied request, and every surviving artifact passes
+//!     the audit stack. --drop-dir-sync is the negative control: directory
+//!     fsyncs silently lie and the sweep must fail.
 //! ```
 //!
-//! `check`, `inject`, and `crashtest` run each benchmark inside a panic
+//! `check`, `lint`, and `inject` run each benchmark inside a panic
 //! quarantine: a panicking benchmark poisons only its own run, the batch
 //! continues, and the quarantined entries are listed (with the panic
-//! payload and the last good checkpoint, when one exists) at the end.
+//! payload) at the end.
 //!
 //! `stats`, `reduce`, and `cascade` accept resource-governor flags
 //! `--node-limit N`, `--step-limit N`, and `--time-budget SECONDS`. Under a
@@ -171,7 +166,6 @@ fn run(args: &[String]) -> Result<Outcome, CliError> {
         "lint" => lint(&args[1..]).map_err(Into::into),
         "inject" => inject(&args[1..]).map_err(Into::into),
         "resume" => resume(&args[1..]).map(clean),
-        "crashtest" => crashtest(&args[1..]).map_err(Into::into),
         "bench" => bench(&args[1..]).map_err(Into::into),
         "serve" => serve(&args[1..]).map(clean).map_err(Into::into),
         "loadtest" => loadtest(&args[1..]).map_err(Into::into),
@@ -196,15 +190,14 @@ USAGE:
                [--points N] [--max-iter N] [--samples N]
   bddcf resume <file.bddcfck> [--max-iter N] [--max-in K] [--max-out L]
                [--save out.cas] [--verilog out.v]
-  bddcf crashtest [label-substring...] [--suite small|table4] [--seed N]
-                  [--kill-points N] [--max-iter N] [--dir D] [--panic-probe]
   bddcf bench [--suite small|table4|table5[,…]] [--json] [-o report.json]
               [--diff BASELINE.json] [--tolerance FRACTION]
   bddcf serve [--addr A] [--workers N] [--queue-cap N]
               [--max-inflight-nodes N] [--spool D] [--cache-cap N]
   bddcf loadtest [--requests N] [--clients N] [--seed N] [--dir D]
                  [--no-kill] [--in-process]
-  bddcf diskchaos [--seed N] [--points N] [--requests N] [--drop-dir-sync]
+  bddcf diskchaos [label-substring...] [--suite small|table4] [--seed N]
+                  [--points N] [--requests N] [--drop-dir-sync]
 
 RESOURCE GOVERNOR (stats | reduce | cascade):
   --node-limit N       cap the BDD arena at N nodes
@@ -232,21 +225,23 @@ SERVING (serve | loadtest):
   SIGKILLs and restarts the daemon mid-batch, and audits that no accepted
   request was lost.
 
-STORAGE FAULTS (diskchaos):
-  Runs checkpointed reductions and an in-process spooled daemon over a
-  fault-injecting VFS, then replays power-loss crash states at --points
-  storage-event prefixes per phase (0 = every event) plus seeded
-  ENOSPC/EIO/short-write faults. Exits 1 on any recovery-contract
-  violation. --drop-dir-sync makes every directory fsync a silent lie —
-  the negative control proving the harness checks rename durability.
+STORAGE FAULTS AND CRASH RECOVERY (diskchaos):
+  Runs checkpointed reductions (a built-in PLA, plus the registry
+  benchmarks named by label or --suite) and an in-process spooled daemon
+  over a fault-injecting VFS, then replays power-loss crash states at
+  --points storage-event prefixes per phase (0 = every event) plus seeded
+  ENOSPC/EIO/short-write faults. Every recovered reduction must resume
+  byte-identically. Exits 1 on any recovery-contract violation.
+  --drop-dir-sync makes every directory fsync a silent lie — the negative
+  control proving the harness checks rename durability.
 
 CRASH SAFETY:
   reduce --method fixpoint --checkpoint-dir D
       write an atomic checkpoint into D at every Algorithm 3.3 level
       boundary (resume later with `bddcf resume D/ckpt-NNNNNN.bddcfck`)
-  check | inject | crashtest --panic-probe
+  check | lint | inject --panic-probe
       append a deliberately panicking benchmark to prove quarantine
-  check | lint | inject | crashtest --finding-probe
+  check | lint | inject --finding-probe
       append a benchmark that violates Definition 2.4 to prove the
       findings exit path (exit 1)
 
@@ -273,7 +268,6 @@ struct Flags {
     seed: u64,
     points: usize,
     checkpoint_dir: Option<String>,
-    kill_points: usize,
     dir: Option<String>,
     panic_probe: bool,
     finding_probe: bool,
@@ -316,7 +310,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         seed: 0xb0d0_cf5e,
         points: 100,
         checkpoint_dir: None,
-        kill_points: 12,
         dir: None,
         panic_probe: false,
         finding_probe: false,
@@ -426,11 +419,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.points_given = true;
             }
             "--checkpoint-dir" => flags.checkpoint_dir = Some(grab("--checkpoint-dir")?),
-            "--kill-points" => {
-                flags.kill_points = grab("--kill-points")?
-                    .parse()
-                    .map_err(|e| format!("--kill-points: {e}"))?
-            }
             "--dir" => flags.dir = Some(grab("--dir")?),
             "--panic-probe" => flags.panic_probe = true,
             "--finding-probe" => flags.finding_probe = true,
@@ -855,149 +843,118 @@ fn select_suite(flags: &Flags) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, Stri
     Ok(selected)
 }
 
-/// The batch entries a `check`/`inject`/`crashtest` run iterates: the
-/// selected suite, plus the deliberately panicking probe when requested.
-fn batch_entries<'a>(
-    selected: &'a [bddcf::funcs::BenchmarkEntry],
+/// The shared loop of `check`, `lint`, and `inject`: runs `run` on each
+/// selected benchmark, plus any requested probe, inside a panic
+/// quarantine, lists the quarantined entries, and folds both into the
+/// verdict. `run` prints the benchmark's lines and returns whether it was
+/// clean; `failed` completes the stderr summary of a failing batch and
+/// `passed` renders the closing line from the number of selected
+/// benchmarks.
+fn quarantined_batch(
     flags: &Flags,
-    panic_probe: &'a bddcf::check::PanicProbe,
-    finding_probe: &'a bddcf::check::FindingProbe,
-) -> Vec<(&'a str, &'a dyn bddcf::funcs::Benchmark)> {
+    failed: &str,
+    passed: impl FnOnce(usize) -> String,
+    mut run: impl FnMut(&str, &dyn bddcf::funcs::Benchmark) -> bool,
+) -> Result<Outcome, String> {
+    let selected = select_suite(flags)?;
     let mut entries: Vec<(&str, &dyn bddcf::funcs::Benchmark)> = selected
         .iter()
         .map(|entry| (entry.label, entry.benchmark.as_ref()))
         .collect();
     if flags.panic_probe {
-        entries.push(("panic probe", panic_probe));
+        entries.push(("panic probe", &bddcf::check::PanicProbe));
     }
     if flags.finding_probe {
-        entries.push(("finding probe", finding_probe));
+        entries.push(("finding probe", &bddcf::check::FindingProbe));
     }
-    entries
-}
-
-/// Prints the quarantine listing and folds it into the batch verdict.
-fn report_quarantines(quarantined: &[bddcf::check::Quarantine]) {
-    for q in quarantined {
+    let mut failures = 0usize;
+    let mut quarantined = Vec::new();
+    bddcf::check::with_quiet_panics(|| {
+        for (label, benchmark) in entries {
+            match bddcf::check::run_quarantined(label, || run(label, benchmark)) {
+                Ok(true) => {}
+                Ok(false) => failures += 1,
+                Err(q) => quarantined.push(q),
+            }
+        }
+    });
+    for q in &quarantined {
         println!("QUAR {q}");
     }
+    if failures > 0 || quarantined.len() != usize::from(flags.panic_probe) {
+        eprintln!(
+            "{failures} benchmark(s) {failed}, {} quarantined",
+            quarantined.len()
+        );
+        return Ok(Outcome::Findings);
+    }
+    println!("{}", passed(selected.len()));
+    Ok(Outcome::Clean)
 }
 
 fn check(args: &[String]) -> Result<Outcome, String> {
     let flags = parse_flags(args)?;
-    let selected = select_suite(&flags)?;
     let options = bddcf::check::CheckOptions {
         samples: flags.samples,
         max_iterations: flags.max_iter,
         ..bddcf::check::CheckOptions::default()
     };
-    let panic_probe = bddcf::check::PanicProbe;
-    let finding_probe = bddcf::check::FindingProbe;
-    let mut failures = 0usize;
-    let mut quarantined = Vec::new();
-    bddcf::check::with_quiet_panics(|| {
-        for (label, benchmark) in batch_entries(&selected, &flags, &panic_probe, &finding_probe) {
-            let result = match bddcf::check::run_quarantined(label, || {
-                bddcf::check::check_benchmark(benchmark, &options)
-            }) {
-                Ok(result) => result,
-                Err(q) => {
-                    quarantined.push(q);
-                    continue;
-                }
-            };
-            let verdict = if result.report.is_clean() {
-                "ok"
-            } else {
-                "FAIL"
-            };
+    quarantined_batch(
+        &flags,
+        "violated pipeline invariants",
+        |n| format!("all {n} benchmark(s) pass every invariant layer"),
+        |label, benchmark| {
+            let result = bddcf::check::check_benchmark(benchmark, &options);
+            let clean = result.report.is_clean();
             println!(
-                "{verdict:4} {label:<28} width {} -> {}, {} cascade(s), {} cell(s)",
-                result.max_width.0, result.max_width.1, result.num_cascades, result.num_cells
+                "{:4} {label:<28} width {} -> {}, {} cascade(s), {} cell(s)",
+                if clean { "ok" } else { "FAIL" },
+                result.max_width.0,
+                result.max_width.1,
+                result.num_cascades,
+                result.num_cells
             );
-            if !result.report.is_clean() {
-                failures += 1;
-                for finding in result.report.findings() {
-                    println!("     {finding}");
-                }
+            for finding in result.report.findings() {
+                println!("     {finding}");
             }
-        }
-    });
-    report_quarantines(&quarantined);
-    let expected_quarantines = usize::from(flags.panic_probe);
-    if failures > 0 || quarantined.len() != expected_quarantines {
-        eprintln!(
-            "{failures} benchmark(s) violated pipeline invariants, {} quarantined",
-            quarantined.len()
-        );
-        return Ok(Outcome::Findings);
-    }
-    println!(
-        "all {} benchmark(s) pass every invariant layer",
-        selected.len()
-    );
-    Ok(Outcome::Clean)
+            clean
+        },
+    )
 }
 
 fn lint(args: &[String]) -> Result<Outcome, String> {
     let flags = parse_flags(args)?;
-    let selected = select_suite(&flags)?;
     let options = bddcf::check::LintOptions {
         max_iterations: flags.max_iter,
         ..bddcf::check::LintOptions::default()
     };
-    let panic_probe = bddcf::check::PanicProbe;
-    let finding_probe = bddcf::check::FindingProbe;
-    let mut failures = 0usize;
-    let mut quarantined = Vec::new();
-    bddcf::check::with_quiet_panics(|| {
-        for (label, benchmark) in batch_entries(&selected, &flags, &panic_probe, &finding_probe) {
-            let result = match bddcf::check::run_quarantined(label, || {
-                bddcf::check::lint_benchmark(benchmark, &options)
-            }) {
-                Ok(result) => result,
-                Err(q) => {
-                    quarantined.push(q);
-                    continue;
-                }
-            };
-            let verdict = if result.report.is_clean() {
-                "ok"
-            } else {
-                "FAIL"
-            };
+    quarantined_batch(
+        &flags,
+        "produced artifacts with lint findings",
+        |n| {
+            format!(
+                "all {n} benchmark(s) emit artifacts that parse back, round-trip \
+                 byte-faithfully, and refine their specifications"
+            )
+        },
+        |label, benchmark| {
+            let result = bddcf::check::lint_benchmark(benchmark, &options);
+            let clean = result.report.is_clean();
             println!(
-                "{verdict:4} {label:<28} {} artifact(s) analyzed",
+                "{:4} {label:<28} {} artifact(s) analyzed",
+                if clean { "ok" } else { "FAIL" },
                 result.artifacts
             );
-            if !result.report.is_clean() {
-                failures += 1;
-                for finding in result.report.findings() {
-                    println!("{finding}");
-                }
+            for finding in result.report.findings() {
+                println!("{finding}");
             }
-        }
-    });
-    report_quarantines(&quarantined);
-    let expected_quarantines = usize::from(flags.panic_probe);
-    if failures > 0 || quarantined.len() != expected_quarantines {
-        eprintln!(
-            "{failures} benchmark(s) produced artifacts with lint findings, {} quarantined",
-            quarantined.len()
-        );
-        return Ok(Outcome::Findings);
-    }
-    println!(
-        "all {} benchmark(s) emit artifacts that parse back, round-trip \
-         byte-faithfully, and refine their specifications",
-        selected.len()
-    );
-    Ok(Outcome::Clean)
+            clean
+        },
+    )
 }
 
 fn inject(args: &[String]) -> Result<Outcome, String> {
     let flags = parse_flags(args)?;
-    let selected = select_suite(&flags)?;
     let options = bddcf::check::InjectionOptions {
         seed: flags.seed,
         points: flags.points,
@@ -1005,46 +962,24 @@ fn inject(args: &[String]) -> Result<Outcome, String> {
         samples: flags.samples.min(64),
         ..bddcf::check::InjectionOptions::default()
     };
-    let panic_probe = bddcf::check::PanicProbe;
-    let finding_probe = bddcf::check::FindingProbe;
-    let mut failures = 0usize;
-    let mut quarantined = Vec::new();
-    bddcf::check::with_quiet_panics(|| {
-        for (label, benchmark) in batch_entries(&selected, &flags, &panic_probe, &finding_probe) {
-            let outcome = match bddcf::check::run_quarantined(label, || {
-                bddcf::check::run_injection(benchmark, &options)
-            }) {
-                Ok(outcome) => outcome,
-                Err(q) => {
-                    quarantined.push(q);
-                    continue;
-                }
-            };
+    quarantined_batch(
+        &flags,
+        "violated an invariant under fault injection",
+        |n| {
+            format!(
+                "all {n} benchmark(s) survive {} fault injection(s) each (seed {:#x})",
+                flags.points, flags.seed
+            )
+        },
+        |_, benchmark| {
+            let outcome = bddcf::check::run_injection(benchmark, &options);
             println!("{}", outcome.summary());
-            if !outcome.is_clean() {
-                failures += 1;
-                for finding in outcome.report.findings() {
-                    println!("     {finding}");
-                }
+            for finding in outcome.report.findings() {
+                println!("     {finding}");
             }
-        }
-    });
-    report_quarantines(&quarantined);
-    let expected_quarantines = usize::from(flags.panic_probe);
-    if failures > 0 || quarantined.len() != expected_quarantines {
-        eprintln!(
-            "{failures} benchmark(s) violated an invariant under fault injection, {} quarantined",
-            quarantined.len()
-        );
-        return Ok(Outcome::Findings);
-    }
-    println!(
-        "all {} benchmark(s) survive {} fault injection(s) each (seed {:#x})",
-        selected.len(),
-        flags.points,
-        flags.seed
-    );
-    Ok(Outcome::Clean)
+            outcome.is_clean()
+        },
+    )
 }
 
 fn resume(args: &[String]) -> Result<(), CliError> {
@@ -1075,17 +1010,13 @@ fn resume(args: &[String]) -> Result<(), CliError> {
     let (mut cf, mut report, stats) = loaded
         .resume(&Alg33Options::default(), flags.max_iter, &mut ck, false)
         .map_err(|e| format!("resume failed: {e}"))?;
-    match stats {
-        Some(stats) => println!(
-            "resumed: {} iteration(s), width {} -> {}, nodes {} -> {}",
-            stats.iterations, stats.max_width.0, stats.max_width.1, stats.nodes.0, stats.nodes.1
-        ),
-        None => println!(
-            "reduction already complete: width {}, {} nodes",
-            cf.max_width(),
-            cf.node_count()
-        ),
-    }
+    // Without `abort_on_cancel` the fixpoint loop always finishes, even
+    // from a `ReductionDone` checkpoint.
+    let stats = stats.expect("invariant: only a crash-simulating resume ends without stats");
+    println!(
+        "resumed: {} iteration(s), width {} -> {}, nodes {} -> {}",
+        stats.iterations, stats.max_width.0, stats.max_width.1, stats.nodes.0, stats.nodes.1
+    );
     if let Some(last) = ck.last_path() {
         println!("last checkpoint: {}", last.display());
     }
@@ -1213,9 +1144,18 @@ fn loadtest(args: &[String]) -> Result<Outcome, String> {
 
 fn diskchaos(args: &[String]) -> Result<Outcome, String> {
     let flags = parse_flags(args)?;
-    if !flags.positional.is_empty() {
-        return Err("diskchaos takes no positional arguments".into());
-    }
+    // Labels (or an explicit --suite) add registry benchmarks to the
+    // reduction sweep; without them only the built-in PLA is swept.
+    let specs = if flags.positional.is_empty() && !flags.suite_given {
+        Vec::new()
+    } else {
+        select_suite(&flags)?
+            .iter()
+            .map(|entry| {
+                bddcf::serve::SynthSpec::new(bddcf::serve::Source::Registry(entry.label.into()))
+            })
+            .collect()
+    };
     let config = bddcf::serve::DiskChaosConfig {
         seed: flags.seed,
         // inject's 100-point default would subsample; the contract is a
@@ -1229,6 +1169,7 @@ fn diskchaos(args: &[String]) -> Result<Outcome, String> {
             6
         },
         drop_dir_sync: flags.drop_dir_sync,
+        specs,
     };
     let report = bddcf::serve::run_diskchaos(&config)?;
     print!("{}", report.render());
@@ -1237,77 +1178,6 @@ fn diskchaos(args: &[String]) -> Result<Outcome, String> {
     } else {
         Ok(Outcome::Findings)
     }
-}
-
-fn crashtest(args: &[String]) -> Result<Outcome, String> {
-    let flags = parse_flags(args)?;
-    let selected = select_suite(&flags)?;
-    let options = bddcf::check::CrashTestOptions {
-        seed: flags.seed,
-        kill_points: flags.kill_points,
-        max_iterations: flags.max_iter,
-        dir: flags
-            .dir
-            .as_ref()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::env::temp_dir().join("bddcf-crashtest")),
-        ..bddcf::check::CrashTestOptions::default()
-    };
-    let panic_probe = bddcf::check::PanicProbe;
-    let finding_probe = bddcf::check::FindingProbe;
-    let mut failures = 0usize;
-    let mut quarantined = Vec::new();
-    bddcf::check::with_quiet_panics(|| {
-        for (label, benchmark) in batch_entries(&selected, &flags, &panic_probe, &finding_probe) {
-            let outcome = match bddcf::check::run_quarantined(label, || {
-                bddcf::check::run_crashtest(benchmark, &options)
-            }) {
-                Ok(Ok(outcome)) => outcome,
-                Ok(Err(e)) => {
-                    println!("FAIL {label}: {e}");
-                    failures += 1;
-                    continue;
-                }
-                Err(mut q) => {
-                    // Attribute the last good checkpoint, if the crashed
-                    // benchmark's baseline run got far enough to write one.
-                    let slug: String = label
-                        .chars()
-                        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-                        .collect();
-                    q.last_checkpoint =
-                        bddcf::core::latest_checkpoint(&options.dir.join(slug).join("baseline"))
-                            .ok()
-                            .flatten();
-                    quarantined.push(q);
-                    continue;
-                }
-            };
-            println!("{}", outcome.summary());
-            if !outcome.is_clean() {
-                failures += 1;
-                for finding in outcome.report.findings() {
-                    println!("     {finding}");
-                }
-            }
-        }
-    });
-    report_quarantines(&quarantined);
-    let expected_quarantines = usize::from(flags.panic_probe);
-    if failures > 0 || quarantined.len() != expected_quarantines {
-        eprintln!(
-            "{failures} benchmark(s) failed crash recovery, {} quarantined",
-            quarantined.len()
-        );
-        return Ok(Outcome::Findings);
-    }
-    println!(
-        "all {} benchmark(s) recover byte-identically from {} seeded kill(s) each (seed {:#x})",
-        selected.len(),
-        flags.kill_points,
-        flags.seed
-    );
-    Ok(Outcome::Clean)
 }
 
 /// One suite's wall clock pulled out of a bddcf-bench-v1 report.

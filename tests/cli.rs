@@ -352,10 +352,58 @@ fn exit_codes_distinguish_findings_from_usage_errors() {
         vec!["check", "--no-such-flag"],
         vec!["lint", "--suite", "no-such-suite"],
         vec!["inject", "--no-such-flag"],
-        vec!["crashtest", "--no-such-flag"],
+        vec!["diskchaos", "--no-such-flag"],
         vec!["frobnicate"],
     ] {
         let out = bddcf().args(&args).output().expect("spawn");
         assert_eq!(out.status.code(), Some(2), "usage error for {args:?}");
     }
+}
+
+/// The panic probe through the binary: the batch quarantines it, lists it
+/// once, and still exits 0 because the quarantine was requested.
+#[test]
+fn check_quarantines_the_panic_probe_and_exits_zero() {
+    let out = bddcf()
+        .args([
+            "check",
+            "--panic-probe",
+            "3-nary",
+            "--samples",
+            "4",
+            "--max-iter",
+            "1",
+        ])
+        .output()
+        .expect("spawn");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{text}");
+    let quarantined: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("QUAR "))
+        .collect();
+    assert_eq!(quarantined.len(), 1, "{text}");
+    assert!(quarantined[0].starts_with("QUAR panic probe:"), "{text}");
+}
+
+/// Crash recovery of a registry benchmark's checkpointed reduction, swept
+/// at sampled storage-event crash prefixes alongside the built-in PLA.
+#[test]
+fn diskchaos_sweeps_a_registry_benchmark() {
+    let out = bddcf()
+        .args(["diskchaos", "--points", "4", "3-nary"])
+        .output()
+        .expect("spawn");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stdout: {text}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        text.contains("reduction 2-digit 3-nary to binary:"),
+        "{text}"
+    );
+    assert!(text.contains("PASS"), "{text}");
 }
