@@ -19,10 +19,21 @@
 //!   and proving `χ_netlist ⇒ χ_spec` with the PR 1 refinement oracle
 //!   ([`Cf::original_chi`]).
 //!
+//! χ_netlist is composed in one pass per ROM. The ROM's address vector
+//! (the BDDs of its address bits) is cofactored on its topmost variable;
+//! each distinct cofactor vector is memoized as a *state*, and an
+//! all-constant vector is an address that selects a stored word. Every
+//! data bit then gets one `mk` per state, so a ROM costs states × data
+//! bits `mk` calls, where expanding each bit on its own over the address
+//! BDDs costs up to 2^w − 1 `ite` calls per bit of a w-bit address.
+//! Stored words are `u64`: lowering reports a data bus wider than 64 bits
+//! as NL009, and the symbolic passes refuse one as TV003.
+//!
 //! Findings carry a machine-readable catalog id (`NL…` for netlist
 //! structure, `TV…` for translation validation) plus the artifact file
 //! name and 1-based line, so CI can gate on them.
 
+use bddcf_bdd::hasher::{FastMap, FxLikeHasher};
 use bddcf_bdd::{BddManager, NodeId, FALSE, TRUE};
 use bddcf_cascade::{Cascade, LutCell};
 use bddcf_core::{Cf, CfLayout};
@@ -30,6 +41,7 @@ use bddcf_decomp::bdd_decomp::rails_for;
 use bddcf_io::verilog_parse::{BitRef, Expr, PortDir, VerilogItem, VerilogModule};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 
 /// NL001: a bit has more than one driver.
 pub const NL001_MULTIPLE_DRIVERS: &str = "NL001";
@@ -413,6 +425,17 @@ pub fn netlist_from_verilog(module: &VerilogModule, file: &str) -> (Netlist, Lin
                     );
                 }
                 let (aw, ww) = (net.buses[addr].width, net.buses[target].width);
+                if ww > 64 {
+                    report.push(
+                        file,
+                        rom.line,
+                        NL009_STRUCTURE,
+                        format!(
+                            "`{}` stores {ww}-bit words; words are at most 64 bits",
+                            rom.target
+                        ),
+                    );
+                }
                 let mut arms = Vec::with_capacity(rom.arms.len());
                 for arm in &rom.arms {
                     if arm.addr_width != aw {
@@ -1178,6 +1201,15 @@ pub fn netlist_to_cascade(net: &Netlist, file: &str) -> Result<Cascade, LintRepo
         let w = net.buses[rom.addr].width;
         let width = net.buses[rom.target].width;
         let shape = &shapes[r];
+        if width > 64 {
+            return Err(fail(
+                rom.line,
+                format!(
+                    "`{}` stores {width}-bit words; words are at most 64 bits",
+                    net.buses[rom.target].name
+                ),
+            ));
+        }
         let rails_out = width - num_primary_outs[r];
         let words = rom_words(rom, w);
         if width < 64 {
@@ -1282,16 +1314,16 @@ pub fn cascade_structural_diff(a: &Cascade, b: &Cascade) -> Option<String> {
 // ---------------------------------------------------------------------
 
 /// Rebuilds the characteristic function of the artifact symbolically:
-/// every bit's BDD is derived from its driver (ROM bits by Shannon
-/// expansion over the address-bit BDDs), and
-/// `χ_netlist = ∧_j (y_j ↔ f_j)` over the output port. No simulation is
-/// involved — this is the translation-validation obligation.
+/// every bit's BDD is derived from its driver (all data bits of a ROM at
+/// once, see the module docs), and `χ_netlist = ∧_j (y_j ↔ f_j)` over
+/// the output port. No simulation is involved — this is the
+/// translation-validation obligation.
 ///
 /// # Errors
 ///
 /// Returns [`TV003_RECONSTRUCTION`]-class findings when the netlist
 /// shape prevents the derivation (undriven bits, loops, port/layout
-/// arity mismatches).
+/// arity mismatches, ROM words wider than 64 bits).
 pub fn netlist_chi(
     net: &Netlist,
     mgr: &mut BddManager,
@@ -1336,30 +1368,55 @@ pub fn netlist_chi(
         ));
     }
 
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        InProgress,
-        Done(NodeId),
+    let mut bits = BitFunctions {
+        net,
+        layout,
+        input,
+        memo: HashMap::new(),
+        roms: vec![None; net.roms.len()],
+    };
+    let mut conjuncts = Vec::with_capacity(layout.num_outputs());
+    for j in 0..layout.num_outputs() {
+        let f = bits
+            .of(
+                mgr,
+                NetBit {
+                    bus: output,
+                    bit: j,
+                },
+            )
+            .map_err(|e| fail(0, format!("output bit y[{j}]: {e}")))?;
+        let y = mgr.var(layout.output_var(j));
+        conjuncts.push(mgr.iff(y, f));
     }
-    let mut memo: HashMap<NetBit, State> = HashMap::new();
+    Ok(mgr.and_many(&conjuncts))
+}
 
-    fn bit_bdd(
-        net: &Netlist,
-        mgr: &mut BddManager,
-        layout: &CfLayout,
-        input: usize,
-        memo: &mut HashMap<NetBit, State>,
-        bit: NetBit,
-    ) -> Result<NodeId, String> {
-        if bit.bus == input {
-            if bit.bit >= layout.num_inputs() {
+/// The memoized bit functions of one [`netlist_chi`] derivation.
+struct BitFunctions<'a> {
+    net: &'a Netlist,
+    layout: &'a CfLayout,
+    input: usize,
+    /// Every non-input bit visited; `None` while its derivation is on the
+    /// stack, so a revisit is a combinational loop.
+    memo: HashMap<NetBit, Option<NodeId>>,
+    /// Every data bit of each ROM, once the ROM has been composed.
+    roms: Vec<Option<Vec<NodeId>>>,
+}
+
+impl BitFunctions<'_> {
+    /// The function of `bit`, derived from its driver.
+    fn of(&mut self, mgr: &mut BddManager, bit: NetBit) -> Result<NodeId, String> {
+        let net = self.net;
+        if bit.bus == self.input {
+            if bit.bit >= self.layout.num_inputs() {
                 return Ok(FALSE); // width-padded degenerate input port
             }
-            return Ok(mgr.var(layout.input_var(bit.bit)));
+            return Ok(mgr.var(self.layout.input_var(bit.bit)));
         }
-        match memo.get(&bit) {
-            Some(State::Done(id)) => return Ok(*id),
-            Some(State::InProgress) => {
+        match self.memo.get(&bit) {
+            Some(&Some(id)) => return Ok(id),
+            Some(None) => {
                 return Err(format!(
                     "combinational loop through `{}`",
                     net.bit_name(bit)
@@ -1367,83 +1424,154 @@ pub fn netlist_chi(
             }
             None => {}
         }
-        memo.insert(bit, State::InProgress);
-        let result = match net.drivers[bit.bus][bit.bit].first() {
-            None => Err(format!("`{}` is undriven", net.bit_name(bit))),
-            Some(Driver::Copy { src, .. }) => {
-                let src = *src;
-                bit_bdd(net, mgr, layout, input, memo, src)
-            }
-            Some(Driver::Rom { rom, bit: word_bit }) => {
-                let (rom, word_bit) = (*rom, *word_bit);
-                let addr = net.roms[rom].addr;
-                let w = net.buses[addr].width;
-                if w > MAX_ENUM_ADDR_BITS {
-                    return Err(format!(
-                        "address bus `{}` too wide to expand",
-                        net.buses[addr].name
-                    ));
+        self.memo.insert(bit, None);
+        let id = match net.drivers[bit.bus][bit.bit].first() {
+            None => return Err(format!("`{}` is undriven", net.bit_name(bit))),
+            Some(&Driver::Copy { src, .. }) => self.of(mgr, src)?,
+            Some(&Driver::Rom { rom, bit: word_bit }) => {
+                if self.roms[rom].is_none() {
+                    self.roms[rom] = Some(self.compose(mgr, rom)?);
                 }
-                let mut addr_bdds = Vec::with_capacity(w);
-                for k in 0..w {
-                    addr_bdds.push(bit_bdd(
-                        net,
-                        mgr,
-                        layout,
-                        input,
-                        memo,
-                        NetBit { bus: addr, bit: k },
-                    )?);
+                match self.roms[rom].as_deref().and_then(|f| f.get(word_bit)) {
+                    Some(&id) => id,
+                    None => {
+                        return Err(format!(
+                            "`{}` reads word bit {word_bit}, beyond its ROM's data bus",
+                            net.bit_name(bit)
+                        ))
+                    }
                 }
-                let words = rom_words(&net.roms[rom], w);
-                Ok(shannon(mgr, &addr_bdds, &words, word_bit))
             }
         };
-        match result {
-            Ok(id) => {
-                memo.insert(bit, State::Done(id));
-                Ok(id)
-            }
-            Err(e) => Err(e),
-        }
+        self.memo.insert(bit, Some(id));
+        Ok(id)
     }
 
-    let mut conjuncts = Vec::with_capacity(layout.num_outputs());
-    for j in 0..layout.num_outputs() {
-        let f = bit_bdd(
-            net,
-            mgr,
-            layout,
-            input,
-            &mut memo,
-            NetBit {
-                bus: output,
-                bit: j,
-            },
-        )
-        .map_err(|e| fail(0, format!("output bit y[{j}]: {e}")))?;
-        let y = mgr.var(layout.output_var(j));
-        conjuncts.push(mgr.iff(y, f));
+    /// Every data bit of ROM `rom`, composed over its address functions.
+    fn compose(&mut self, mgr: &mut BddManager, rom: usize) -> Result<Vec<NodeId>, String> {
+        let net = self.net;
+        let (addr, target) = (net.roms[rom].addr, &net.buses[net.roms[rom].target]);
+        if target.width > 64 {
+            return Err(format!(
+                "`{}` stores {}-bit words; words are at most 64 bits",
+                target.name, target.width
+            ));
+        }
+        let w = net.buses[addr].width;
+        if w > MAX_ENUM_ADDR_BITS {
+            return Err(format!(
+                "address bus `{}` too wide to expand",
+                net.buses[addr].name
+            ));
+        }
+        let mut addr_bdds = Vec::with_capacity(w);
+        for k in 0..w {
+            addr_bdds.push(self.of(mgr, NetBit { bus: addr, bit: k })?);
+        }
+        let words = rom_words(&net.roms[rom], w);
+        Ok(RomStates::compose(mgr, &addr_bdds, &words, target.width))
     }
-    Ok(mgr.and_many(&conjuncts))
 }
 
-/// Shannon-expands bit `bit` of a ROM word table over the address-bit
-/// BDDs (`addr` LSB first, `words.len() == 2^addr.len()`).
-fn shannon(mgr: &mut BddManager, addr: &[NodeId], words: &[u64], bit: usize) -> NodeId {
-    debug_assert_eq!(words.len(), 1 << addr.len());
-    if addr.is_empty() {
-        return if words[0] >> bit & 1 == 1 {
-            TRUE
-        } else {
-            FALSE
+/// One ROM's cofactor states. A state is a vector of address functions
+/// (LSB first) with at least one non-constant entry; an all-constant
+/// vector is an address and selects a stored word instead. States are
+/// interned in one flat buffer, so composing a ROM allocates nothing
+/// per state.
+struct RomStates<'a> {
+    words: &'a [u64],
+    /// Address bits (entries per state).
+    arity: usize,
+    /// Data bits (functions per state).
+    width: usize,
+    /// The states' vectors, `arity` entries each, in interning order; a
+    /// candidate vector is written at the tail before it is looked up.
+    keys: Vec<NodeId>,
+    /// Vector hash → latest state with that hash; `chain[s]` is the
+    /// state interned before `s` with the same hash (`u32::MAX` ends).
+    heads: FastMap<u64, u32>,
+    chain: Vec<u32>,
+    /// The states' data bit functions, `width` entries each.
+    bits: Vec<NodeId>,
+    /// Data bit functions of the cofactors being joined, `width` each.
+    stack: Vec<NodeId>,
+}
+
+impl RomStates<'_> {
+    /// Composes all `width` data bits of the word table `words` over the
+    /// address functions `addr`, with one `mk` per state and data bit.
+    fn compose(mgr: &mut BddManager, addr: &[NodeId], words: &[u64], width: usize) -> Vec<NodeId> {
+        debug_assert_eq!(words.len(), 1 << addr.len());
+        let mut states = RomStates {
+            words,
+            arity: addr.len(),
+            width,
+            keys: addr.to_vec(),
+            heads: FastMap::default(),
+            chain: Vec::new(),
+            bits: Vec::new(),
+            stack: Vec::new(),
         };
+        states.intern(mgr);
+        states.stack
     }
-    let k = addr.len() - 1; // split on the MSB: low half has MSB = 0
-    let half = 1usize << k;
-    let lo = shannon(mgr, &addr[..k], &words[..half], bit);
-    let hi = shannon(mgr, &addr[..k], &words[half..], bit);
-    mgr.ite(addr[k], hi, lo)
+
+    /// Pushes the data bits of the candidate at the tail of `keys` onto
+    /// `stack`. A new state is interned, and its bits are joined from its
+    /// two cofactors on its topmost variable.
+    fn intern(&mut self, mgr: &mut BddManager) {
+        let start = self.keys.len() - self.arity;
+        let mut top = u32::MAX;
+        let mut address = 0usize;
+        let mut hasher = FxLikeHasher::default();
+        for (k, &a) in self.keys[start..].iter().enumerate() {
+            top = top.min(mgr.level_of_node(a));
+            address |= usize::from(a == TRUE) << k;
+            hasher.write_u32(a.raw());
+        }
+        if top == u32::MAX {
+            self.keys.truncate(start);
+            let word = self.words[address];
+            let bit = |b: usize| if word >> b & 1 == 1 { TRUE } else { FALSE };
+            self.stack.extend((0..self.width).map(bit));
+            return;
+        }
+        let hash = hasher.finish();
+        let mut next = self.heads.get(&hash).copied().unwrap_or(u32::MAX);
+        while next != u32::MAX {
+            let s = next as usize;
+            if self.keys[s * self.arity..][..self.arity] == self.keys[start..] {
+                self.keys.truncate(start);
+                let bits = &self.bits[s * self.width..][..self.width];
+                self.stack.extend_from_slice(bits);
+                return;
+            }
+            next = self.chain[s];
+        }
+        let state = start / self.arity;
+        let previous = self.heads.insert(hash, state as u32);
+        self.chain.push(previous.unwrap_or(u32::MAX));
+        self.bits.resize((state + 1) * self.width, FALSE);
+        for value in [false, true] {
+            for k in start..start + self.arity {
+                let a = self.keys[k];
+                self.keys.push(match (mgr.level_of_node(a) == top, value) {
+                    (false, _) => a,
+                    (true, false) => mgr.lo(a),
+                    (true, true) => mgr.hi(a),
+                });
+            }
+            self.intern(mgr);
+        }
+        let var = mgr.var_at(top);
+        let at = self.stack.len() - 2 * self.width;
+        for b in 0..self.width {
+            let (lo, hi) = (self.stack[at + b], self.stack[at + self.width + b]);
+            self.stack[at + b] = mgr.mk(var, lo, hi);
+        }
+        self.stack.truncate(at + self.width);
+        self.bits[state * self.width..][..self.width].copy_from_slice(&self.stack[at..]);
+    }
 }
 
 /// The TV004 obligation: `χ_netlist ⇒ χ_spec`, proved on the BDDs with
@@ -1545,6 +1673,16 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         let report = lint_rail_bounds(&cascade, &cf, "m.v");
         assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn a_driver_past_the_rom_word_is_a_finding() {
+        let (cascade, mut cf) = sample();
+        let mut net = lowered(&cascade);
+        let data = net.roms[0].target;
+        net.drivers[data][0] = vec![Driver::Rom { rom: 0, bit: 7 }];
+        let report = check_netlist_refinement(&net, &mut cf, "m.v");
+        assert!(report.has(TV003_RECONSTRUCTION), "{report}");
     }
 
     #[test]

@@ -195,6 +195,26 @@ fn nl009_unknown_bus() {
 }
 
 #[test]
+fn nl009_rom_words_wider_than_64_bits() {
+    // The IR stores words as `u64`: a 70-bit data bus cannot be read, so
+    // lowering reports it and the symbolic passes refuse it instead of
+    // building a 70-bit cell word or reading bit 65 as bit 1.
+    let (text, _, mut cf) = table1_artifact();
+    let text = corrupt(&text, "reg [1:0] data0;", "reg [69:0] data0;");
+    assert!(text.contains("data0 = 2'd"), "the arms store 2-bit words");
+    let text = text.replace("data0 = 2'd", "data0 = 70'd");
+    let (net, report) = netlist_from_verilog(&parse_verilog(&text).expect("parses"), "corpus.v");
+    assert!(report.has(NL009_STRUCTURE), "{report}");
+    let report = netlist_to_cascade(&net, "corpus.v").expect_err("words too wide");
+    assert!(report.has(TV003_RECONSTRUCTION), "{report}");
+
+    let text = corrupt(&text, "assign y[0] = data0[0];", "assign y[0] = data0[65];");
+    let (net, _) = netlist_from_verilog(&parse_verilog(&text).expect("parses"), "corpus.v");
+    let report = check_netlist_refinement(&net, &mut cf, "corpus.v");
+    assert!(report.has(TV003_RECONSTRUCTION), "{report}");
+}
+
+#[test]
 fn tv001_truncated_artifact_fails_to_parse() {
     let (text, _, _) = table1_artifact();
     let cut = text.len() / 2;
