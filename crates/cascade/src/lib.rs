@@ -30,10 +30,7 @@ pub mod synth;
 
 pub use addrgen::AddressGenerator;
 pub use cell::LutCell;
-pub use multi::{
-    synthesize_partitioned, synthesize_partitioned_governed, try_synthesize_partitioned,
-    MultiCascade,
-};
+pub use multi::{synthesize_partitioned, try_synthesize_partitioned, MultiCascade};
 pub use synth::{
     synthesize, synthesize_governed, Cascade, CascadeOptions, Segmentation, SynthesisError,
 };

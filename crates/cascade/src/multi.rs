@@ -8,9 +8,8 @@
 //! bisecting any group that fails to synthesize.
 
 #![allow(clippy::single_range_in_vec_init)] // the API genuinely takes lists of ranges
-use crate::synth::{synthesize, synthesize_governed, Cascade, CascadeOptions};
+use crate::synth::{synthesize, Cascade, CascadeOptions};
 use bddcf_bdd::BddManager;
-use bddcf_core::degrade::DegradationReport;
 use bddcf_core::partition::partition_outputs;
 use bddcf_core::{Cf, CfLayout, IsfBdds};
 use std::ops::Range;
@@ -85,50 +84,6 @@ pub fn try_synthesize_partitioned(
             .expect("one range in, one part out");
         prepare(&mut part);
         match synthesize(&mut part, options) {
-            Ok(cascade) => done.push((range, part, cascade)),
-            Err(err) => {
-                if range.len() == 1 {
-                    return Err((range, err));
-                }
-                let mid = range.start + range.len().div_ceil(2);
-                queue.push(range.start..mid);
-                queue.push(mid..range.end);
-            }
-        }
-    }
-    done.sort_by_key(|(range, _, _)| range.start);
-    Ok(assemble(done))
-}
-
-/// Budget-governed [`try_synthesize_partitioned`]: each group's `prepare`
-/// callback receives the shared [`DegradationReport`] (install a budget on
-/// the part's manager and run the governed reductions there), and synthesis
-/// itself degrades via [`synthesize_governed`] instead of failing on a
-/// node-quota miss. Groups that fail for *capacity* reasons are bisected as
-/// usual; a budget error on a single-output group is returned to the
-/// caller.
-///
-/// # Errors
-///
-/// The first single-output group that cannot be synthesized, with the
-/// [`SynthesisError`](crate::SynthesisError) that stopped it.
-pub fn synthesize_partitioned_governed(
-    mgr: &BddManager,
-    layout: &CfLayout,
-    isf: &IsfBdds,
-    initial_parts: &[Range<usize>],
-    options: &CascadeOptions,
-    mut prepare: impl FnMut(&mut Cf, &mut DegradationReport),
-    report: &mut DegradationReport,
-) -> Result<MultiCascade, (Range<usize>, crate::SynthesisError)> {
-    let mut queue: Vec<Range<usize>> = initial_parts.to_vec();
-    let mut done: Vec<(Range<usize>, Cf, Cascade)> = Vec::new();
-    while let Some(range) = queue.pop() {
-        let mut part = partition_outputs(mgr, layout, isf, std::slice::from_ref(&range))
-            .pop()
-            .expect("one range in, one part out");
-        prepare(&mut part, report);
-        match synthesize_governed(&mut part, options, report) {
             Ok(cascade) => done.push((range, part, cascade)),
             Err(err) => {
                 if range.len() == 1 {

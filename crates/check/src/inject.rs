@@ -63,7 +63,7 @@ impl Default for InjectionOptions {
             max_iterations: 4,
             alg33: Alg33Options::default(),
             cascade: CascadeOptions::default(),
-            samples: 32,
+            samples: 64,
         }
     }
 }

@@ -43,8 +43,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,8 +55,7 @@ use bddcf_core::latest_valid_checkpoint_vfs;
 
 use crate::job::{build_cf, execute, execute_vfs, ExecError, ExecOutcome};
 use crate::protocol::{
-    read_frame, write_frame, Request, RequestBody, Response, ShutdownMode, Source, Status,
-    SynthResult, SynthSpec, DEFAULT_MAX_FRAME,
+    Request, RequestBody, Response, ShutdownMode, Source, Status, SynthResult, SynthSpec,
 };
 use crate::server::{parse_control_status, Server, ServerConfig};
 
@@ -81,7 +79,7 @@ pub struct DiskChaosConfig {
 impl Default for DiskChaosConfig {
     fn default() -> Self {
         DiskChaosConfig {
-            seed: 0xd15c_cf5e,
+            seed: 0xb0d0_cf5e,
             points: 0,
             requests: 6,
             drop_dir_sync: false,
@@ -593,24 +591,9 @@ fn audit_result(spec: &SynthSpec, result: &SynthResult, tag: &str, report: &mut 
     }
 }
 
-fn roundtrip_raw(addr: SocketAddr, payload: &[u8]) -> Result<Vec<u8>, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .map_err(|e| format!("socket: {e}"))?;
-    let read_half = stream.try_clone().map_err(|e| format!("socket: {e}"))?;
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, payload).map_err(|e| format!("send: {e}"))?;
-    match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-        Ok(Some(reply)) => Ok(reply),
-        Ok(None) => Err("daemon closed before replying".into()),
-        Err(e) => Err(format!("read: {e}")),
-    }
-}
-
+/// [`crate::protocol::roundtrip`] of `request`, with the reply parsed.
 fn roundtrip(addr: SocketAddr, request: &Request) -> Result<Response, String> {
-    let reply = roundtrip_raw(addr, &request.to_bytes())?;
+    let reply = crate::protocol::roundtrip(addr, &request.to_bytes())?;
     Response::from_bytes(&reply).map_err(|e| format!("parse reply: {e}"))
 }
 
@@ -634,7 +617,7 @@ fn shutdown_drain(addr: SocketAddr) -> Result<(), String> {
         id: "dc-drain".into(),
         body: RequestBody::Shutdown(ShutdownMode::Drain),
     };
-    let ack = roundtrip_raw(addr, &request.to_bytes())?;
+    let ack = crate::protocol::roundtrip(addr, &request.to_bytes())?;
     if parse_control_status(&ack).as_deref() == Some("ok") {
         Ok(())
     } else {

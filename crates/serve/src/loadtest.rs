@@ -26,8 +26,8 @@
 
 use crate::job::execute;
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, Request, RequestBody, Response, ShutdownMode, Source,
-    Status, SynthResult, SynthSpec,
+    read_frame, roundtrip, ErrorCode, Request, RequestBody, Response, ShutdownMode, Source, Status,
+    SynthResult, SynthSpec,
 };
 use crate::server::{parse_control_status, Server, ServerConfig};
 use bddcf_bdd::{splitmix64, Budget};
@@ -67,12 +67,12 @@ impl Default for LoadTestConfig {
         LoadTestConfig {
             requests: 200,
             clients: 4,
-            seed: 0xbddc_f5e2,
+            seed: 0xb0d0_cf5e,
             kill: true,
             spool_dir: PathBuf::from("loadtest-spool"),
             server_bin: None,
             workers: 2,
-            queue_capacity: 8,
+            queue_capacity: 16,
         }
     }
 }
@@ -330,22 +330,6 @@ fn start_daemon(config: &LoadTestConfig) -> Result<Ctl, String> {
     }
 }
 
-/// Sends one control frame and returns the raw reply payload.
-fn control_request(addr: SocketAddr, request: &Request) -> Result<Vec<u8>, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .map_err(|e| e.to_string())?;
-    let mut writer = BufWriter::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut reader = BufReader::new(stream);
-    write_frame(&mut writer, &request.to_bytes()).map_err(|e| format!("send: {e}"))?;
-    match read_frame(&mut reader, crate::protocol::DEFAULT_MAX_FRAME) {
-        Ok(Some(payload)) => Ok(payload),
-        Ok(None) => Err("daemon closed before replying".into()),
-        Err(e) => Err(format!("read: {e}")),
-    }
-}
-
 /// Kills the daemon mid-batch and restarts it on the same spool.
 fn kill_and_restart(ctl: &mut Ctl, config: &LoadTestConfig) -> Result<(), String> {
     match &mut ctl.daemon {
@@ -357,7 +341,7 @@ fn kill_and_restart(ctl: &mut Ctl, config: &LoadTestConfig) -> Result<(), String
                 id: "chaos-kill".into(),
                 body: RequestBody::Shutdown(ShutdownMode::Checkpoint),
             };
-            let _ = control_request(ctl.addr, &shutdown);
+            let _ = roundtrip(ctl.addr, &shutdown.to_bytes());
             if let Some(server) = server.take() {
                 let _ = server.wait();
             }
@@ -381,7 +365,7 @@ fn finish_daemon(ctl: &mut Ctl) -> Result<(), String> {
         id: "final-drain".into(),
         body: RequestBody::Shutdown(ShutdownMode::Drain),
     };
-    let ack = control_request(ctl.addr, &shutdown)?;
+    let ack = roundtrip(ctl.addr, &shutdown.to_bytes())?;
     if parse_control_status(&ack).as_deref() != Some("ok") {
         return Err(format!(
             "drain shutdown not acknowledged: {}",
@@ -452,37 +436,20 @@ enum Attempt {
 }
 
 fn send_once(addr: SocketAddr, payload: &[u8]) -> Attempt {
-    let Ok(stream) = TcpStream::connect(addr) else {
+    // A kill mid-request: the connection just dies. Retry.
+    let Ok(reply) = roundtrip(addr, payload) else {
         return Attempt::Retry(None);
     };
-    if stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .is_err()
-    {
-        return Attempt::Retry(None);
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return Attempt::Retry(None);
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    if write_frame(&mut writer, payload).is_err() {
-        return Attempt::Retry(None);
-    }
-    match read_frame(&mut reader, crate::protocol::DEFAULT_MAX_FRAME) {
-        Ok(Some(reply)) => match Response::from_bytes(&reply) {
-            Ok(response) => {
-                if let Some((code, _)) = &response.error {
-                    if code.is_retryable() {
-                        return Attempt::Retry(Some(*code));
-                    }
+    match Response::from_bytes(&reply) {
+        Ok(response) => {
+            if let Some((code, _)) = &response.error {
+                if code.is_retryable() {
+                    return Attempt::Retry(Some(*code));
                 }
-                Attempt::Done(Box::new(response))
             }
-            Err(_) => Attempt::Retry(None),
-        },
-        // A kill mid-request: the connection just dies. Retry.
-        Ok(None) | Err(_) => Attempt::Retry(None),
+            Attempt::Done(Box::new(response))
+        }
+        Err(_) => Attempt::Retry(None),
     }
 }
 

@@ -35,6 +35,8 @@
 use crate::json::{self, Json};
 use bddcf_bdd::snapshot::fnv1a64;
 use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// Default cap on a single frame's payload (1 MiB) — far above any
 /// legitimate request, far below a memory-exhaustion attempt.
@@ -108,6 +110,22 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Fram
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload).map_err(FrameError::Io)?;
     Ok(Some(payload))
+}
+
+/// One client round trip: connects to `addr`, sends `payload` as one
+/// frame, and returns the payload of the reply frame, waiting up to 120 s
+/// for it.
+pub(crate) fn roundtrip(addr: SocketAddr, payload: &[u8]) -> Result<Vec<u8>, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .map_err(|e| format!("socket: {e}"))?;
+    write_frame(&mut &stream, payload).map_err(|e| format!("send: {e}"))?;
+    match read_frame(&mut &stream, DEFAULT_MAX_FRAME) {
+        Ok(Some(reply)) => Ok(reply),
+        Ok(None) => Err("daemon closed before replying".into()),
+        Err(e) => Err(format!("read: {e}")),
+    }
 }
 
 // ---------------------------------------------------------------------

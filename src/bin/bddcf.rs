@@ -1,79 +1,10 @@
-//! `bddcf` — command-line front end.
+//! `bddcf` — command-line front end. Run `bddcf help` for usage.
 //!
-//! ```text
-//! bddcf stats   <file.pla> [--sift N]
-//!     BDD_for_CF widths/nodes for DC=0, DC=1, ISF, Alg 3.1, Alg 3.3.
-//!
-//! bddcf reduce  <file.pla> [--method alg31|alg33|fixpoint] [--sift N] [-o out.pla]
-//!     Reduce and (for ≤ 16 inputs) write the completed function as a PLA.
-//!
-//! bddcf cascade <file.pla> [--max-in K] [--max-out L] [--sift N]
-//!               [--verilog out.v] [--save out.cas]
-//!     Synthesize an LUT cascade; optionally emit Verilog and/or save the
-//!     cell tables.
-//!
-//! bddcf sim <file.cas> <bits>
-//!     Evaluate a saved cascade on an input bit string (input 0 first).
-//!
-//! bddcf check [label-substring...] [--suite small|table4] [--samples N]
-//!             [--max-iter N]
-//!     Run the bddcf-check invariant layers (manager integrity, CF lints,
-//!     refinement oracle, cascade lints) over registry benchmarks; exits
-//!     nonzero if any layer reports a finding.
-//!
-//! bddcf lint [label-substring...] [--suite small|table4] [--max-iter N]
-//!     Static translation validation of emitted artifacts: synthesize each
-//!     benchmark, emit Verilog and cascade text, parse them back, run the
-//!     netlist lints (NL001–NL009), require a byte-faithful re-emission,
-//!     and prove χ_netlist ⇒ χ_spec on the BDDs. Findings are printed
-//!     machine-readably as `file:line: [ID] message`; exits nonzero on any.
-//!
-//! bddcf inject [label-substring...] [--suite small|table4] [--seed N]
-//!              [--points N] [--max-iter N] [--samples N]
-//!     Seeded fault injection: exhaust node/step budgets and fire
-//!     cancellations at random points of the governed pipeline, auditing
-//!     every survivor; exits nonzero on any invariant violation.
-//!
-//! bddcf resume <file.bddcfck> [--max-iter N] [--max-in K] [--max-out L]
-//!              [--save out.cas] [--verilog out.v]
-//!     Reconstruct a reduction from a crash-safe checkpoint and continue it
-//!     from the recorded level; optionally synthesize the cascade.
-//!
-//! bddcf bench [--suite small|table4|table5[,…]] [--json] [-o report.json]
-//!             [--diff BASELINE.json] [--tolerance FRACTION]
-//!     Run the measurement suites (wall clock, peak nodes, probe lengths,
-//!     cache hit rates per registry benchmark) and emit the figures as
-//!     deterministic JSON; `--diff` compares the run against a committed
-//!     baseline with calibration-normalized wall clocks and exits 1 on a
-//!     regression beyond the tolerance (default 0.20).
-//!
-//! bddcf serve [--addr A] [--workers N] [--queue-cap N]
-//!             [--max-inflight-nodes N] [--spool D] [--cache-cap N]
-//!     Run the fault-tolerant synthesis daemon (length-prefixed JSON over
-//!     TCP; see bddcf_serve::protocol). Prints `listening on ADDR` once
-//!     bound and serves until a protocol drain/checkpoint shutdown.
-//!
-//! bddcf loadtest [--requests N] [--clients N] [--seed N] [--dir D]
-//!                [--no-kill] [--in-process]
-//!     Chaos/load harness: drives a spawned `bddcf serve` child with a
-//!     seeded mix of valid, duplicate, malformed, oversized, deadline-zero,
-//!     and deliberately panicking requests, SIGKILLs it mid-batch, restarts
-//!     it on the same spool, and exits nonzero unless no accepted request
-//!     was lost and every artifact is byte-identical and passes the audit
-//!     stack.
-//!
-//! bddcf diskchaos [label-substring...] [--suite small|table4] [--seed N]
-//!                 [--points N] [--requests N] [--drop-dir-sync]
-//!     Hostile-disk and crash-recovery harness: records every storage event
-//!     of the checkpointed reductions (a built-in PLA plus the selected
-//!     registry benchmarks) and of a spooled serve session on a
-//!     fault-injecting VFS, then sweeps power-loss crash prefixes
-//!     (fsync-lies model) and seeded ENOSPC/EIO/short-write faults,
-//!     asserting recovery never panics, resumes byte-identically, loses no
-//!     accepted-and-replied request, and every surviving artifact passes
-//!     the audit stack. --drop-dir-sync is the negative control: directory
-//!     fsyncs silently lie and the sweep must fail.
-//! ```
+//! Each subcommand's synopsis in [`COMMANDS`] is what `bddcf help` prints
+//! and is also its flag list: `[--flag VALUE]` takes a value, `[--flag]` is
+//! a switch, and any other flag is a usage error (exit 2). A subcommand
+//! parses every value before it starts work, and a flag left out takes its
+//! default from the options type it sets.
 //!
 //! `check`, `lint`, and `inject` run each benchmark inside a panic
 //! quarantine: a panicking benchmark poisons only its own run, the batch
@@ -98,7 +29,9 @@ use bddcf::core::degrade::{DegradationReport, DegradeAction, Phase};
 use bddcf::core::{Alg33Options, Cf};
 use bddcf::io::{emit_cascade, emit_verilog, parse_pla, read_cascade, write_pla};
 use bddcf::logic::{Ternary, TruthTable};
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// What a verification subcommand concluded. The distinction drives the
@@ -129,6 +62,12 @@ impl From<String> for CliError {
     }
 }
 
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Usage(message.to_string())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -146,59 +85,115 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand's name, synopsis, and entry point. The synopsis is both
+/// what `bddcf help` prints (wrapped at its line breaks) and the flags
+/// [`Args::parse`] accepts.
+type Command = (
+    &'static str,
+    &'static str,
+    fn(&Args) -> Result<Outcome, CliError>,
+);
+
+const COMMANDS: &[Command] = &[
+    (
+        "stats",
+        "<file.pla> [--sift N]
+[--node-limit N] [--step-limit N] [--time-budget SECS]",
+        stats,
+    ),
+    (
+        "reduce",
+        "<file.pla> [--method alg31|alg33|fixpoint] [--sift N] [-o out.pla]
+[--max-iter N] [--checkpoint-dir D] [--require-complete]
+[--node-limit N] [--step-limit N] [--time-budget SECS]",
+        reduce,
+    ),
+    (
+        "cascade",
+        "<file.pla> [--max-in K] [--max-out L] [--sift N]
+[--verilog out.v] [--save out.cas] [--require-complete]
+[--node-limit N] [--step-limit N] [--time-budget SECS]",
+        cascade,
+    ),
+    ("sim", "<file.cas> <input-bits>", sim),
+    (
+        "check",
+        "[label-substring...] [--suite small|table4] [--samples N]
+[--max-iter N] [--panic-probe] [--finding-probe]",
+        check,
+    ),
+    (
+        "lint",
+        "[label-substring...] [--suite small|table4] [--max-iter N]
+[--panic-probe] [--finding-probe]",
+        lint,
+    ),
+    (
+        "inject",
+        "[label-substring...] [--suite small|table4] [--seed N]
+[--points N] [--max-iter N] [--samples N]
+[--panic-probe] [--finding-probe]",
+        inject,
+    ),
+    (
+        "resume",
+        "<file.bddcfck> [--max-iter N] [--max-in K] [--max-out L]
+[--save out.cas] [--verilog out.v]",
+        resume,
+    ),
+    (
+        "bench",
+        "[--suite small|table4|table5[,…]] [--json] [-o report.json]
+[--diff BASELINE.json] [--tolerance FRACTION]",
+        bench,
+    ),
+    (
+        "serve",
+        "[--addr A] [--workers N] [--queue-cap N]
+[--max-inflight-nodes N] [--spool D] [--cache-cap N]",
+        serve,
+    ),
+    (
+        "loadtest",
+        "[--requests N] [--clients N] [--seed N] [--dir D]
+[--workers N] [--queue-cap N] [--no-kill] [--in-process]",
+        loadtest,
+    ),
+    (
+        "diskchaos",
+        "[label-substring...] [--suite small|table4] [--seed N]
+[--points N] [--requests N] [--drop-dir-sync]",
+        diskchaos,
+    ),
+];
+
 fn run(args: &[String]) -> Result<Outcome, CliError> {
     let Some(command) = args.first() else {
-        return Err("missing subcommand (stats | reduce | cascade | help)"
-            .to_string()
-            .into());
+        return Err("missing subcommand (stats | reduce | cascade | help)".into());
     };
-    let clean = |()| Outcome::Clean;
-    match command.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{}", USAGE);
-            Ok(Outcome::Clean)
-        }
-        "stats" => stats(&args[1..]).map(clean).map_err(Into::into),
-        "reduce" => reduce(&args[1..]).map(clean),
-        "cascade" => cascade(&args[1..]).map(clean),
-        "sim" => sim(&args[1..]).map(clean).map_err(Into::into),
-        "check" => check(&args[1..]).map_err(Into::into),
-        "lint" => lint(&args[1..]).map_err(Into::into),
-        "inject" => inject(&args[1..]).map_err(Into::into),
-        "resume" => resume(&args[1..]).map(clean),
-        "bench" => bench(&args[1..]).map_err(Into::into),
-        "serve" => serve(&args[1..]).map(clean).map_err(Into::into),
-        "loadtest" => loadtest(&args[1..]).map_err(Into::into),
-        "diskchaos" => diskchaos(&args[1..]).map_err(Into::into),
-        other => Err(format!("unknown subcommand {other:?}").into()),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
+        return Ok(Outcome::Clean);
     }
+    let Some((name, synopsis, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown subcommand {command:?}").into());
+    };
+    run(&Args::parse(name, synopsis, &args[1..])?)
 }
 
-const USAGE: &str = "\
-bddcf — BDD_for_CF width reduction and LUT cascade synthesis
+/// The text of `bddcf help`: every subcommand's synopsis, then [`HELP`].
+fn usage() -> String {
+    let mut text =
+        String::from("bddcf — BDD_for_CF width reduction and LUT cascade synthesis\n\nUSAGE:\n");
+    for (name, synopsis, _) in COMMANDS {
+        let head = format!("  bddcf {name} ");
+        let indent = format!("\n{:1$}", "", head.len());
+        text += &format!("{head}{}\n", synopsis.replace('\n', &indent));
+    }
+    text + HELP
+}
 
-USAGE:
-  bddcf stats   <file.pla> [--sift N]
-  bddcf reduce  <file.pla> [--method alg31|alg33|fixpoint] [--sift N] [-o out.pla]
-  bddcf cascade <file.pla> [--max-in K] [--max-out L] [--sift N]
-                [--verilog out.v] [--save out.cas]
-  bddcf sim <file.cas> <input-bits>
-  bddcf check [label-substring...] [--suite small|table4] [--samples N]
-              [--max-iter N]
-  bddcf lint  [label-substring...] [--suite small|table4] [--max-iter N]
-  bddcf inject [label-substring...] [--suite small|table4] [--seed N]
-               [--points N] [--max-iter N] [--samples N]
-  bddcf resume <file.bddcfck> [--max-iter N] [--max-in K] [--max-out L]
-               [--save out.cas] [--verilog out.v]
-  bddcf bench [--suite small|table4|table5[,…]] [--json] [-o report.json]
-              [--diff BASELINE.json] [--tolerance FRACTION]
-  bddcf serve [--addr A] [--workers N] [--queue-cap N]
-              [--max-inflight-nodes N] [--spool D] [--cache-cap N]
-  bddcf loadtest [--requests N] [--clients N] [--seed N] [--dir D]
-                 [--no-kill] [--in-process]
-  bddcf diskchaos [label-substring...] [--suite small|table4] [--seed N]
-                  [--points N] [--requests N] [--drop-dir-sync]
-
+const HELP: &str = "
 RESOURCE GOVERNOR (stats | reduce | cascade):
   --node-limit N       cap the BDD arena at N nodes
   --step-limit N       cap charged operation steps at N
@@ -250,242 +245,121 @@ EXIT CODES:
   2  usage or internal    3  budget/deadline exhausted before completion
 ";
 
-struct Flags {
+/// Sifting passes before any reduction, unless `--sift` says otherwise.
+const SIFT_PASSES: usize = 1;
+/// Fixpoint iterations of `reduce` and `resume`, unless `--max-iter` says
+/// otherwise.
+const MAX_ITER: usize = 4;
+
+/// A subcommand's arguments, checked against its synopsis: the positional
+/// arguments, and each flag given with its value (`None` for a switch).
+struct Args {
     positional: Vec<String>,
-    sift: usize,
-    method: String,
-    output: Option<String>,
-    max_in: usize,
-    max_out: usize,
-    verilog: Option<String>,
-    save: Option<String>,
-    suite: String,
-    samples: u64,
-    max_iter: usize,
-    node_limit: Option<usize>,
-    step_limit: Option<u64>,
-    time_budget: Option<f64>,
-    seed: u64,
-    points: usize,
-    checkpoint_dir: Option<String>,
-    dir: Option<String>,
-    panic_probe: bool,
-    finding_probe: bool,
-    require_complete: bool,
-    addr: String,
-    workers: usize,
-    queue_cap: usize,
-    max_inflight_nodes: Option<usize>,
-    spool: Option<String>,
-    cache_cap: usize,
-    requests: usize,
-    clients: usize,
-    no_kill: bool,
-    in_process: bool,
-    drop_dir_sync: bool,
-    suite_given: bool,
-    requests_given: bool,
-    points_given: bool,
-    json: bool,
-    diff: Option<String>,
-    tolerance: f64,
+    flags: Vec<(String, Option<String>)>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
-        positional: Vec::new(),
-        sift: 1,
-        method: "alg33".into(),
-        output: None,
-        max_in: 12,
-        max_out: 10,
-        verilog: None,
-        save: None,
-        suite: "small".into(),
-        samples: 128,
-        max_iter: 4,
-        node_limit: None,
-        step_limit: None,
-        time_budget: None,
-        seed: 0xb0d0_cf5e,
-        points: 100,
-        checkpoint_dir: None,
-        dir: None,
-        panic_probe: false,
-        finding_probe: false,
-        require_complete: false,
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_cap: 16,
-        max_inflight_nodes: None,
-        spool: None,
-        cache_cap: 64,
-        requests: 200,
-        clients: 4,
-        no_kill: false,
-        in_process: false,
-        drop_dir_sync: false,
-        suite_given: false,
-        requests_given: false,
-        points_given: false,
-        json: false,
-        diff: None,
-        tolerance: 0.20,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut grab = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+impl Args {
+    /// Splits `args` into positionals and flags, rejecting a flag that
+    /// `synopsis` does not list and a value flag with no value after it.
+    fn parse(command: &str, synopsis: &str, args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
         };
-        match arg.as_str() {
-            "--sift" => {
-                flags.sift = grab("--sift")?
-                    .parse()
-                    .map_err(|e| format!("--sift: {e}"))?
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                parsed.positional.push(arg.clone());
+                continue;
             }
-            "--method" => flags.method = grab("--method")?,
-            "-o" | "--output" => flags.output = Some(grab("-o")?),
-            "--max-in" => {
-                flags.max_in = grab("--max-in")?
-                    .parse()
-                    .map_err(|e| format!("--max-in: {e}"))?
-            }
-            "--max-out" => {
-                flags.max_out = grab("--max-out")?
-                    .parse()
-                    .map_err(|e| format!("--max-out: {e}"))?
-            }
-            "--verilog" => flags.verilog = Some(grab("--verilog")?),
-            "--save" => flags.save = Some(grab("--save")?),
-            "--suite" => {
-                flags.suite = grab("--suite")?;
-                flags.suite_given = true;
-            }
-            "--json" => flags.json = true,
-            "--diff" => flags.diff = Some(grab("--diff")?),
-            "--tolerance" => {
-                let t: f64 = grab("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                if !t.is_finite() || t < 0.0 {
-                    return Err("--tolerance needs a non-negative fraction".into());
-                }
-                flags.tolerance = t;
-            }
-            "--samples" => {
-                flags.samples = grab("--samples")?
-                    .parse()
-                    .map_err(|e| format!("--samples: {e}"))?
-            }
-            "--max-iter" => {
-                flags.max_iter = grab("--max-iter")?
-                    .parse()
-                    .map_err(|e| format!("--max-iter: {e}"))?
-            }
-            "--node-limit" => {
-                flags.node_limit = Some(
-                    grab("--node-limit")?
-                        .parse()
-                        .map_err(|e| format!("--node-limit: {e}"))?,
-                )
-            }
-            "--step-limit" => {
-                flags.step_limit = Some(
-                    grab("--step-limit")?
-                        .parse()
-                        .map_err(|e| format!("--step-limit: {e}"))?,
-                )
-            }
-            "--time-budget" => {
-                let secs: f64 = grab("--time-budget")?
-                    .parse()
-                    .map_err(|e| format!("--time-budget: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--time-budget needs a positive number of seconds".into());
-                }
-                flags.time_budget = Some(secs);
-            }
-            "--seed" => {
-                flags.seed = grab("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--points" => {
-                flags.points = grab("--points")?
-                    .parse()
-                    .map_err(|e| format!("--points: {e}"))?;
-                flags.points_given = true;
-            }
-            "--checkpoint-dir" => flags.checkpoint_dir = Some(grab("--checkpoint-dir")?),
-            "--dir" => flags.dir = Some(grab("--dir")?),
-            "--panic-probe" => flags.panic_probe = true,
-            "--finding-probe" => flags.finding_probe = true,
-            "--require-complete" => flags.require_complete = true,
-            "--addr" => flags.addr = grab("--addr")?,
-            "--workers" => {
-                flags.workers = grab("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--queue-cap" => {
-                flags.queue_cap = grab("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?
-            }
-            "--max-inflight-nodes" => {
-                flags.max_inflight_nodes = Some(
-                    grab("--max-inflight-nodes")?
-                        .parse()
-                        .map_err(|e| format!("--max-inflight-nodes: {e}"))?,
-                )
-            }
-            "--spool" => flags.spool = Some(grab("--spool")?),
-            "--cache-cap" => {
-                flags.cache_cap = grab("--cache-cap")?
-                    .parse()
-                    .map_err(|e| format!("--cache-cap: {e}"))?
-            }
-            "--requests" => {
-                flags.requests = grab("--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-                flags.requests_given = true;
-            }
-            "--clients" => {
-                flags.clients = grab("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--no-kill" => flags.no_kill = true,
-            "--in-process" => flags.in_process = true,
-            "--drop-dir-sync" => flags.drop_dir_sync = true,
-            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            other => flags.positional.push(other.to_string()),
+            // `[--flag VALUE]` opens with the flag; `[--flag]` closes on it.
+            let takes_value = synopsis
+                .split_whitespace()
+                .find_map(|token| {
+                    let listed = token.strip_prefix('[')?;
+                    let flag = listed.strip_suffix(']').unwrap_or(listed);
+                    (flag == arg).then_some(flag.len() == listed.len())
+                })
+                .ok_or_else(|| format!("{command} does not take {arg}"))?;
+            let value = takes_value
+                .then(|| {
+                    args.next()
+                        .cloned()
+                        .ok_or_else(|| format!("{arg} needs a value"))
+                })
+                .transpose()?;
+            parsed.flags.push((arg.clone(), value));
         }
+        Ok(parsed)
     }
-    Ok(flags)
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(given, _)| given == flag)
+    }
+
+    /// The value of `flag`; the last one when it was given more than once.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(given, _)| given == flag)?
+            .1
+            .as_deref()
+    }
+
+    /// The value of `flag` parsed as a `T`.
+    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.value(flag)
+            .map(|value| value.parse().map_err(|e| format!("{flag}: {e}")))
+            .transpose()
+    }
+
+    /// The value of `flag` parsed as a `T`, or `default` when it is absent.
+    fn or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.get(flag)?.unwrap_or(default))
+    }
 }
 
-impl Flags {
-    /// The resource budget requested on the command line, if any.
-    fn budget(&self) -> Option<Budget> {
-        if self.node_limit.is_none() && self.step_limit.is_none() && self.time_budget.is_none() {
-            return None;
-        }
-        let mut budget = Budget::default();
-        if let Some(n) = self.node_limit {
-            budget = budget.with_node_limit(n);
-        }
-        if let Some(s) = self.step_limit {
-            budget = budget.with_step_limit(s);
-        }
-        if let Some(secs) = self.time_budget {
-            budget = budget.with_time_budget(Duration::from_secs_f64(secs));
-        }
-        Some(budget)
+/// The resource budget `--node-limit`, `--step-limit` and `--time-budget`
+/// ask for, or `None` when none of them is given.
+fn budget(args: &Args) -> Result<Option<Budget>, String> {
+    let node_limit = args.get("--node-limit")?;
+    let step_limit = args.get("--step-limit")?;
+    let time_budget: Option<f64> = args.get("--time-budget")?;
+    if time_budget.is_some_and(|secs| !secs.is_finite() || secs <= 0.0) {
+        return Err("--time-budget needs a positive number of seconds".into());
     }
+    if node_limit.is_none() && step_limit.is_none() && time_budget.is_none() {
+        return Ok(None);
+    }
+    let mut budget = Budget::default();
+    if let Some(n) = node_limit {
+        budget = budget.with_node_limit(n);
+    }
+    if let Some(s) = step_limit {
+        budget = budget.with_step_limit(s);
+    }
+    if let Some(secs) = time_budget {
+        budget = budget.with_time_budget(Duration::from_secs_f64(secs));
+    }
+    Ok(Some(budget))
+}
+
+/// The cell constraints `--max-in` and `--max-out` ask for.
+fn cascade_options(args: &Args) -> Result<CascadeOptions, String> {
+    let defaults = CascadeOptions::default();
+    Ok(CascadeOptions {
+        max_cell_inputs: args.or("--max-in", defaults.max_cell_inputs)?,
+        max_cell_outputs: args.or("--max-out", defaults.max_cell_outputs)?,
+        ..defaults
+    })
 }
 
 /// Prints a non-empty degradation report to stderr: the result the command
@@ -542,12 +416,13 @@ fn load_cf(path: &str, sift_passes: usize) -> Result<Cf, String> {
     Ok(cf)
 }
 
-fn stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let [path] = flags.positional.as_slice() else {
+fn stats(args: &Args) -> Result<Outcome, CliError> {
+    let sift = args.or("--sift", SIFT_PASSES)?;
+    let budget = budget(args)?;
+    let [path] = args.positional.as_slice() else {
         return Err("stats takes exactly one PLA file".into());
     };
-    let cf = load_cf(path, flags.sift)?;
+    let cf = load_cf(path, sift)?;
     println!(
         "{}: {} inputs, {} outputs",
         path,
@@ -559,7 +434,6 @@ fn stats(args: &[String]) -> Result<(), String> {
         cf.max_width(),
         cf.node_count()
     );
-    let budget = flags.budget();
     let mut degradations = DegradationReport::new();
     let mut a31 = cf.clone();
     if let Some(b) = budget.clone() {
@@ -599,7 +473,7 @@ fn stats(args: &[String]) -> Result<(), String> {
     );
     print_engine_stats(&a33.manager().engine_stats());
     report_degradations(&degradations);
-    Ok(())
+    Ok(Outcome::Clean)
 }
 
 /// Engine-health block of `bddcf stats`: the counters of the manager that
@@ -633,23 +507,25 @@ fn print_engine_stats(stats: &bddcf::bdd::EngineStats) {
     );
 }
 
-fn reduce(args: &[String]) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
-    let [path] = flags.positional.as_slice() else {
-        return Err("reduce takes exactly one PLA file".to_string().into());
+fn reduce(args: &Args) -> Result<Outcome, CliError> {
+    let sift = args.or("--sift", SIFT_PASSES)?;
+    let max_iter = args.or("--max-iter", MAX_ITER)?;
+    let budget = budget(args)?;
+    let method = args.value("--method").unwrap_or("alg33");
+    let checkpoint_dir = args.value("--checkpoint-dir");
+    let [path] = args.positional.as_slice() else {
+        return Err("reduce takes exactly one PLA file".into());
     };
-    if flags.checkpoint_dir.is_some() && flags.method != "fixpoint" {
-        return Err("--checkpoint-dir requires --method fixpoint"
-            .to_string()
-            .into());
+    if checkpoint_dir.is_some() && method != "fixpoint" {
+        return Err("--checkpoint-dir requires --method fixpoint".into());
     }
-    let mut cf = load_cf(path, flags.sift)?;
+    let mut cf = load_cf(path, sift)?;
     let before = (cf.max_width(), cf.node_count());
     let mut degradations = DegradationReport::new();
-    if let Some(budget) = flags.budget() {
+    if let Some(budget) = budget {
         cf.manager_mut().set_budget(budget);
     }
-    match flags.method.as_str() {
+    match method {
         "alg31" => {
             if let Err(cause) = cf.try_reduce_alg31() {
                 degradations.record(Phase::Alg31, None, DegradeAction::SkippedPhase, cause);
@@ -659,12 +535,12 @@ fn reduce(args: &[String]) -> Result<(), CliError> {
             cf.reduce_alg33_governed(&Alg33Options::default(), &mut degradations);
         }
         "fixpoint" => {
-            if let Some(dir) = &flags.checkpoint_dir {
+            if let Some(dir) = checkpoint_dir {
                 let mut ck = bddcf::core::Checkpointer::new(dir)
                     .map_err(|e| format!("--checkpoint-dir {dir}: {e}"))?;
                 cf.reduce_to_fixpoint_checkpointed(
                     &Alg33Options::default(),
-                    flags.max_iter,
+                    max_iter,
                     &mut degradations,
                     &mut ck,
                     false,
@@ -674,14 +550,18 @@ fn reduce(args: &[String]) -> Result<(), CliError> {
                     eprintln!("last checkpoint: {}", path.display());
                 }
             } else {
-                cf.reduce_to_fixpoint_governed(&Alg33Options::default(), 4, &mut degradations);
+                cf.reduce_to_fixpoint_governed(
+                    &Alg33Options::default(),
+                    max_iter,
+                    &mut degradations,
+                );
             }
         }
         other => return Err(format!("unknown --method {other}").into()),
     }
     let _ = cf.manager_mut().take_budget();
     report_degradations(&degradations);
-    if flags.require_complete && !degradations.is_clean() {
+    if args.has("--require-complete") && !degradations.is_clean() {
         return Err(CliError::Budget(format!(
             "reduction downgraded {} step(s) under the budget and \
              --require-complete was set",
@@ -695,12 +575,10 @@ fn reduce(args: &[String]) -> Result<(), CliError> {
         before.1,
         cf.node_count()
     );
-    if let Some(out_path) = flags.output {
+    if let Some(out_path) = args.value("-o") {
         let n = cf.layout().num_inputs();
         if n > 16 {
-            return Err("-o only supported for functions with <= 16 inputs"
-                .to_string()
-                .into());
+            return Err("-o only supported for functions with <= 16 inputs".into());
         }
         let m = cf.layout().num_outputs();
         let mut table = TruthTable::new(n, m);
@@ -711,29 +589,26 @@ fn reduce(args: &[String]) -> Result<(), CliError> {
                 table.set(r, j, Ternary::from_bool(word >> j & 1 == 1));
             }
         }
-        std::fs::write(&out_path, write_pla(&table, None))
+        std::fs::write(out_path, write_pla(&table, None))
             .map_err(|e| format!("{out_path}: {e}"))?;
         println!("completed function written to {out_path}");
     }
-    Ok(())
+    Ok(Outcome::Clean)
 }
 
-fn cascade(args: &[String]) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
-    let [path] = flags.positional.as_slice() else {
-        return Err("cascade takes exactly one PLA file".to_string().into());
+fn cascade(args: &Args) -> Result<Outcome, CliError> {
+    let sift = args.or("--sift", SIFT_PASSES)?;
+    let budget = budget(args)?;
+    let options = cascade_options(args)?;
+    let [path] = args.positional.as_slice() else {
+        return Err("cascade takes exactly one PLA file".into());
     };
-    let mut cf = load_cf(path, flags.sift)?;
+    let mut cf = load_cf(path, sift)?;
     let mut degradations = DegradationReport::new();
-    if let Some(budget) = flags.budget() {
+    if let Some(budget) = budget {
         cf.manager_mut().set_budget(budget);
     }
     cf.reduce_alg33_governed(&Alg33Options::default(), &mut degradations);
-    let options = CascadeOptions {
-        max_cell_inputs: flags.max_in,
-        max_cell_outputs: flags.max_out,
-        ..CascadeOptions::default()
-    };
     let result =
         synthesize_governed(&mut cf, &options, &mut degradations).map_err(|e| match e {
             SynthesisError::Budget(cause) => {
@@ -746,7 +621,7 @@ fn cascade(args: &[String]) -> Result<(), CliError> {
         })?;
     let _ = cf.manager_mut().take_budget();
     report_degradations(&degradations);
-    if flags.require_complete && !degradations.is_clean() {
+    if args.has("--require-complete") && !degradations.is_clean() {
         return Err(CliError::Budget(format!(
             "synthesis downgraded {} step(s) under the budget and \
              --require-complete was set",
@@ -769,11 +644,11 @@ fn cascade(args: &[String]) -> Result<(), CliError> {
             cell.output_ids().iter().map(|j| j + 1).collect::<Vec<_>>()
         );
     }
-    if let Some(cas_path) = flags.save {
-        write_file_with(&cas_path, |w| emit_cascade(&result, w))?;
+    if let Some(cas_path) = args.value("--save") {
+        write_file_with(cas_path, |w| emit_cascade(&result, w))?;
         println!("cell tables written to {cas_path}");
     }
-    if let Some(v_path) = flags.verilog {
+    if let Some(v_path) = args.value("--verilog") {
         let mut module = std::path::Path::new(path)
             .file_stem()
             .and_then(|s| s.to_str())
@@ -782,15 +657,14 @@ fn cascade(args: &[String]) -> Result<(), CliError> {
         if !bddcf::io::is_valid_module_name(&module) {
             module = format!("m_{module}");
         }
-        write_file_with(&v_path, |w| emit_verilog_io(&result, &module, w))?;
+        write_file_with(v_path, |w| emit_verilog_io(&result, &module, w))?;
         println!("Verilog written to {v_path}");
     }
-    Ok(())
+    Ok(Outcome::Clean)
 }
 
-fn sim(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let [path, bits] = flags.positional.as_slice() else {
+fn sim(args: &Args) -> Result<Outcome, CliError> {
+    let [path, bits] = args.positional.as_slice() else {
         return Err("sim takes a .cas file and an input bit string".into());
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -800,7 +674,8 @@ fn sim(args: &[String]) -> Result<(), String> {
             "expected {} input bits, got {}",
             cascade.num_inputs(),
             bits.len()
-        ));
+        )
+        .into());
     }
     let input: Vec<bool> = bits
         .chars()
@@ -815,11 +690,12 @@ fn sim(args: &[String]) -> Result<(), String> {
         .map(|j| if word >> j & 1 == 1 { '1' } else { '0' })
         .collect();
     println!("{rendered}");
-    Ok(())
+    Ok(Outcome::Clean)
 }
 
-fn select_suite(flags: &Flags) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, String> {
-    let suite = match flags.suite.as_str() {
+fn select_suite(args: &Args) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, String> {
+    let suite_name = args.value("--suite").unwrap_or("small");
+    let suite = match suite_name {
         "small" => bddcf::funcs::small_benchmarks(),
         "table4" => bddcf::funcs::table4_benchmarks(),
         other => return Err(format!("unknown --suite {other} (small | table4)")),
@@ -827,8 +703,8 @@ fn select_suite(flags: &Flags) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, Stri
     let selected: Vec<_> = suite
         .into_iter()
         .filter(|entry| {
-            flags.positional.is_empty()
-                || flags
+            args.positional.is_empty()
+                || args
                     .positional
                     .iter()
                     .any(|needle| entry.label.to_lowercase().contains(&needle.to_lowercase()))
@@ -836,8 +712,8 @@ fn select_suite(flags: &Flags) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, Stri
         .collect();
     if selected.is_empty() {
         return Err(format!(
-            "no benchmark in the {:?} suite matches {:?}",
-            flags.suite, flags.positional
+            "no benchmark in the {suite_name:?} suite matches {:?}",
+            args.positional
         ));
     }
     Ok(selected)
@@ -851,20 +727,21 @@ fn select_suite(flags: &Flags) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, Stri
 /// `passed` renders the closing line from the number of selected
 /// benchmarks.
 fn quarantined_batch(
-    flags: &Flags,
+    args: &Args,
     failed: &str,
     passed: impl FnOnce(usize) -> String,
     mut run: impl FnMut(&str, &dyn bddcf::funcs::Benchmark) -> bool,
-) -> Result<Outcome, String> {
-    let selected = select_suite(flags)?;
+) -> Result<Outcome, CliError> {
+    let selected = select_suite(args)?;
+    let panic_probe = args.has("--panic-probe");
     let mut entries: Vec<(&str, &dyn bddcf::funcs::Benchmark)> = selected
         .iter()
         .map(|entry| (entry.label, entry.benchmark.as_ref()))
         .collect();
-    if flags.panic_probe {
+    if panic_probe {
         entries.push(("panic probe", &bddcf::check::PanicProbe));
     }
-    if flags.finding_probe {
+    if args.has("--finding-probe") {
         entries.push(("finding probe", &bddcf::check::FindingProbe));
     }
     let mut failures = 0usize;
@@ -881,7 +758,7 @@ fn quarantined_batch(
     for q in &quarantined {
         println!("QUAR {q}");
     }
-    if failures > 0 || quarantined.len() != usize::from(flags.panic_probe) {
+    if failures > 0 || quarantined.len() != usize::from(panic_probe) {
         eprintln!(
             "{failures} benchmark(s) {failed}, {} quarantined",
             quarantined.len()
@@ -892,15 +769,15 @@ fn quarantined_batch(
     Ok(Outcome::Clean)
 }
 
-fn check(args: &[String]) -> Result<Outcome, String> {
-    let flags = parse_flags(args)?;
+fn check(args: &Args) -> Result<Outcome, CliError> {
+    let defaults = bddcf::check::CheckOptions::default();
     let options = bddcf::check::CheckOptions {
-        samples: flags.samples,
-        max_iterations: flags.max_iter,
-        ..bddcf::check::CheckOptions::default()
+        samples: args.or("--samples", defaults.samples)?,
+        max_iterations: args.or("--max-iter", defaults.max_iterations)?,
+        ..defaults
     };
     quarantined_batch(
-        &flags,
+        args,
         "violated pipeline invariants",
         |n| format!("all {n} benchmark(s) pass every invariant layer"),
         |label, benchmark| {
@@ -922,14 +799,14 @@ fn check(args: &[String]) -> Result<Outcome, String> {
     )
 }
 
-fn lint(args: &[String]) -> Result<Outcome, String> {
-    let flags = parse_flags(args)?;
+fn lint(args: &Args) -> Result<Outcome, CliError> {
+    let defaults = bddcf::check::LintOptions::default();
     let options = bddcf::check::LintOptions {
-        max_iterations: flags.max_iter,
-        ..bddcf::check::LintOptions::default()
+        max_iterations: args.or("--max-iter", defaults.max_iterations)?,
+        ..defaults
     };
     quarantined_batch(
-        &flags,
+        args,
         "produced artifacts with lint findings",
         |n| {
             format!(
@@ -953,22 +830,22 @@ fn lint(args: &[String]) -> Result<Outcome, String> {
     )
 }
 
-fn inject(args: &[String]) -> Result<Outcome, String> {
-    let flags = parse_flags(args)?;
+fn inject(args: &Args) -> Result<Outcome, CliError> {
+    let defaults = bddcf::check::InjectionOptions::default();
     let options = bddcf::check::InjectionOptions {
-        seed: flags.seed,
-        points: flags.points,
-        max_iterations: flags.max_iter,
-        samples: flags.samples.min(64),
-        ..bddcf::check::InjectionOptions::default()
+        seed: args.or("--seed", defaults.seed)?,
+        points: args.or("--points", defaults.points)?,
+        max_iterations: args.or("--max-iter", defaults.max_iterations)?,
+        samples: args.or("--samples", defaults.samples)?,
+        ..defaults
     };
     quarantined_batch(
-        &flags,
+        args,
         "violated an invariant under fault injection",
         |n| {
             format!(
                 "all {n} benchmark(s) survive {} fault injection(s) each (seed {:#x})",
-                flags.points, flags.seed
+                options.points, options.seed
             )
         },
         |_, benchmark| {
@@ -982,12 +859,12 @@ fn inject(args: &[String]) -> Result<Outcome, String> {
     )
 }
 
-fn resume(args: &[String]) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
-    let [path] = flags.positional.as_slice() else {
-        return Err("resume takes exactly one checkpoint file"
-            .to_string()
-            .into());
+fn resume(args: &Args) -> Result<Outcome, CliError> {
+    let max_iter = args.or("--max-iter", MAX_ITER)?;
+    let options = cascade_options(args)?;
+    let (save, verilog) = (args.value("--save"), args.value("--verilog"));
+    let [path] = args.positional.as_slice() else {
+        return Err("resume takes exactly one checkpoint file".into());
     };
     let ckpt_path = std::path::Path::new(path);
     let loaded = bddcf::core::load_checkpoint(ckpt_path).map_err(|e| format!("{path}: {e}"))?;
@@ -1008,7 +885,7 @@ fn resume(args: &[String]) -> Result<(), CliError> {
     let mut ck =
         bddcf::core::Checkpointer::new(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let (mut cf, mut report, stats) = loaded
-        .resume(&Alg33Options::default(), flags.max_iter, &mut ck, false)
+        .resume(&Alg33Options::default(), max_iter, &mut ck, false)
         .map_err(|e| format!("resume failed: {e}"))?;
     // Without `abort_on_cancel` the fixpoint loop always finishes, even
     // from a `ReductionDone` checkpoint.
@@ -1020,12 +897,7 @@ fn resume(args: &[String]) -> Result<(), CliError> {
     if let Some(last) = ck.last_path() {
         println!("last checkpoint: {}", last.display());
     }
-    if flags.save.is_some() || flags.verilog.is_some() {
-        let options = CascadeOptions {
-            max_cell_inputs: flags.max_in,
-            max_cell_outputs: flags.max_out,
-            ..CascadeOptions::default()
-        };
+    if save.is_some() || verilog.is_some() {
         let result = synthesize_governed(&mut cf, &options, &mut report).map_err(|e| match e {
             SynthesisError::Budget(cause) => CliError::Budget(format!(
                 "cascade synthesis after resume could not complete: {cause}"
@@ -1038,36 +910,33 @@ fn resume(args: &[String]) -> Result<(), CliError> {
             result.lut_outputs(),
             result.memory_bits()
         );
-        if let Some(cas_path) = flags.save {
-            write_file_with(&cas_path, |w| emit_cascade(&result, w))?;
+        if let Some(cas_path) = save {
+            write_file_with(cas_path, |w| emit_cascade(&result, w))?;
             println!("cell tables written to {cas_path}");
         }
-        if let Some(v_path) = flags.verilog {
-            write_file_with(&v_path, |w| emit_verilog_io(&result, "resumed", w))?;
+        if let Some(v_path) = verilog {
+            write_file_with(v_path, |w| emit_verilog_io(&result, "resumed", w))?;
             println!("Verilog written to {v_path}");
         }
     }
     report_degradations(&report);
-    Ok(())
+    Ok(Outcome::Clean)
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if !flags.positional.is_empty() {
-        return Err("serve takes no positional arguments".into());
-    }
+fn serve(args: &Args) -> Result<Outcome, CliError> {
     let defaults = bddcf::serve::ServerConfig::default();
     let config = bddcf::serve::ServerConfig {
-        addr: flags.addr.clone(),
-        workers: flags.workers.max(1),
-        queue_capacity: flags.queue_cap.max(1),
-        max_inflight_nodes: flags
-            .max_inflight_nodes
-            .unwrap_or(defaults.max_inflight_nodes),
-        cache_capacity: flags.cache_cap,
-        spool_dir: flags.spool.as_ref().map(std::path::PathBuf::from),
+        addr: args.or("--addr", defaults.addr)?,
+        workers: args.or("--workers", defaults.workers)?.max(1),
+        queue_capacity: args.or("--queue-cap", defaults.queue_capacity)?.max(1),
+        max_inflight_nodes: args.or("--max-inflight-nodes", defaults.max_inflight_nodes)?,
+        cache_capacity: args.or("--cache-cap", defaults.cache_capacity)?,
+        spool_dir: args.get("--spool")?.or(defaults.spool_dir),
         ..defaults
     };
+    if !args.positional.is_empty() {
+        return Err("serve takes no positional arguments".into());
+    }
     // Probe jobs panic *by design* (quarantined per worker); the default
     // hook would spray backtraces over the daemon's log stream.
     bddcf::check::with_quiet_panics(|| -> Result<(), String> {
@@ -1103,81 +972,66 @@ fn serve(args: &[String]) -> Result<(), String> {
             stats.recovered
         );
         Ok(())
+    })?;
+    Ok(Outcome::Clean)
+}
+
+fn loadtest(args: &Args) -> Result<Outcome, CliError> {
+    let defaults = bddcf::serve::LoadTestConfig::default();
+    let config = bddcf::serve::LoadTestConfig {
+        requests: args.or("--requests", defaults.requests)?,
+        clients: args.or("--clients", defaults.clients)?.max(1),
+        seed: args.or("--seed", defaults.seed)?,
+        kill: defaults.kill && !args.has("--no-kill"),
+        spool_dir: args.get("--dir")?.unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("bddcf-loadtest-{}", std::process::id()))
+        }),
+        server_bin: if args.has("--in-process") {
+            None
+        } else {
+            Some(std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?)
+        },
+        workers: args.or("--workers", defaults.workers)?.max(1),
+        queue_capacity: args.or("--queue-cap", defaults.queue_capacity)?.max(1),
+    };
+    if !args.positional.is_empty() {
+        return Err("loadtest takes no positional arguments".into());
+    }
+    let report = bddcf::serve::run_loadtest(&config)?;
+    print!("{}", report.render());
+    Ok(if report.passed() {
+        Outcome::Clean
+    } else {
+        Outcome::Findings
     })
 }
 
-fn loadtest(args: &[String]) -> Result<Outcome, String> {
-    let flags = parse_flags(args)?;
-    if !flags.positional.is_empty() {
-        return Err("loadtest takes no positional arguments".into());
-    }
-    let spool_dir = flags
-        .dir
-        .as_ref()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("bddcf-loadtest-{}", std::process::id()))
-        });
-    let server_bin = if flags.in_process {
-        None
-    } else {
-        Some(std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?)
+fn diskchaos(args: &Args) -> Result<Outcome, CliError> {
+    let defaults = bddcf::serve::DiskChaosConfig::default();
+    let mut config = bddcf::serve::DiskChaosConfig {
+        seed: args.or("--seed", defaults.seed)?,
+        points: args.or("--points", defaults.points)?,
+        requests: args.or("--requests", defaults.requests)?,
+        drop_dir_sync: defaults.drop_dir_sync || args.has("--drop-dir-sync"),
+        ..defaults
     };
-    let config = bddcf::serve::LoadTestConfig {
-        requests: flags.requests,
-        clients: flags.clients.max(1),
-        seed: flags.seed,
-        kill: !flags.no_kill,
-        spool_dir,
-        server_bin,
-        workers: flags.workers.max(1),
-        queue_capacity: flags.queue_cap.max(1),
-    };
-    let report = bddcf::serve::run_loadtest(&config)?;
-    print!("{}", report.render());
-    if report.passed() {
-        Ok(Outcome::Clean)
-    } else {
-        Ok(Outcome::Findings)
-    }
-}
-
-fn diskchaos(args: &[String]) -> Result<Outcome, String> {
-    let flags = parse_flags(args)?;
     // Labels (or an explicit --suite) add registry benchmarks to the
     // reduction sweep; without them only the built-in PLA is swept.
-    let specs = if flags.positional.is_empty() && !flags.suite_given {
-        Vec::new()
-    } else {
-        select_suite(&flags)?
+    if !args.positional.is_empty() || args.has("--suite") {
+        config.specs = select_suite(args)?
             .iter()
             .map(|entry| {
                 bddcf::serve::SynthSpec::new(bddcf::serve::Source::Registry(entry.label.into()))
             })
-            .collect()
-    };
-    let config = bddcf::serve::DiskChaosConfig {
-        seed: flags.seed,
-        // inject's 100-point default would subsample; the contract is a
-        // crash at *every* storage event unless the user narrows it.
-        points: if flags.points_given { flags.points } else { 0 },
-        // loadtest's 200-request default would make the sweep quadratic;
-        // the harness needs only a handful of requests per session.
-        requests: if flags.requests_given {
-            flags.requests
-        } else {
-            6
-        },
-        drop_dir_sync: flags.drop_dir_sync,
-        specs,
-    };
+            .collect();
+    }
     let report = bddcf::serve::run_diskchaos(&config)?;
     print!("{}", report.render());
-    if report.passed() {
-        Ok(Outcome::Clean)
+    Ok(if report.passed() {
+        Outcome::Clean
     } else {
-        Ok(Outcome::Findings)
-    }
+        Outcome::Findings
+    })
 }
 
 /// One suite's wall clock pulled out of a bddcf-bench-v1 report.
@@ -1283,29 +1137,33 @@ fn diff_bench_reports(
     Ok(Outcome::Clean)
 }
 
-fn bench(args: &[String]) -> Result<Outcome, String> {
-    let flags = parse_flags(args)?;
-    if !flags.positional.is_empty() {
+fn bench(args: &Args) -> Result<Outcome, CliError> {
+    let tolerance: f64 = args.or("--tolerance", 0.20)?;
+    if !tolerance.is_finite() || tolerance < 0.0 {
+        return Err("--tolerance needs a non-negative fraction".into());
+    }
+    let (output, json_only, diff) = (args.value("-o"), args.has("--json"), args.value("--diff"));
+    if !args.positional.is_empty() {
         return Err(format!(
             "bench takes no positional arguments (got {:?})",
-            flags.positional
-        ));
+            args.positional
+        )
+        .into());
     }
-    let suites: Vec<String> = if flags.suite_given {
-        flags.suite.split(',').map(str::to_string).collect()
-    } else {
-        vec!["table4".into(), "table5".into()]
+    let suites: Vec<String> = match args.value("--suite") {
+        Some(list) => list.split(',').map(str::to_string).collect(),
+        None => vec!["table4".into(), "table5".into()],
     };
     let report = bddcf::bench::run_bench(&suites, true)?;
     let json = report.to_json();
-    if let Some(path) = &flags.output {
+    if let Some(path) = output {
         std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("bench report written to {path}");
     }
-    if flags.json && flags.output.is_none() {
+    if json_only && output.is_none() {
         print!("{json}");
     }
-    if !flags.json {
+    if !json_only {
         for suite in &report.suites {
             println!(
                 "{:<8} {:>10.3} ms over {} benchmark(s)",
@@ -1322,11 +1180,11 @@ fn bench(args: &[String]) -> Result<Outcome, String> {
             report.calibration_ns as f64 / 1e6
         );
     }
-    match &flags.diff {
+    match diff {
         Some(path) => {
             let baseline =
                 std::fs::read_to_string(path).map_err(|e| format!("--diff {path}: {e}"))?;
-            diff_bench_reports(&json, &baseline, path, flags.tolerance)
+            Ok(diff_bench_reports(&json, &baseline, path, tolerance)?)
         }
         None => Ok(Outcome::Clean),
     }

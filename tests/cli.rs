@@ -347,17 +347,113 @@ fn exit_codes_distinguish_findings_from_usage_errors() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Definition 2.4 violated"), "{text}");
 
-    // 2: usage errors across the verification subcommands.
-    for args in [
-        vec!["check", "--no-such-flag"],
-        vec!["lint", "--suite", "no-such-suite"],
-        vec!["inject", "--no-such-flag"],
-        vec!["diskchaos", "--no-such-flag"],
-        vec!["frobnicate"],
+    // 2: usage errors across the subcommands. A subcommand takes only the
+    // flags its synopsis lists, and parses every value before any work.
+    let pla = sample_pla();
+    let pla_path = pla.path.to_str().expect("temp path is UTF-8");
+    let temp_path = |name: &str| {
+        std::env::temp_dir()
+            .join(format!("bddcf-cli-usage-{}-{name}", std::process::id()))
+            .to_str()
+            .expect("temp path is UTF-8")
+            .to_string()
+    };
+    let (cas, completed, ckpt_dir) = (temp_path("x.cas"), temp_path("x.pla"), temp_path("ck"));
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let out = bddcf()
+        .args([
+            "cascade",
+            pla_path,
+            "--max-in",
+            "4",
+            "--max-out",
+            "4",
+            "--save",
+            &cas,
+        ])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "cascade --save for the sim case");
+    for (args, says) in [
+        (vec!["check", "--no-such-flag"], "does not take"),
+        (vec!["lint", "--suite", "no-such-suite"], "unknown --suite"),
+        (vec!["inject", "--no-such-flag"], "does not take"),
+        (vec!["diskchaos", "--no-such-flag"], "does not take"),
+        (vec!["frobnicate"], "unknown subcommand"),
+        (vec!["sim", &cas, "0000", "--workers", "9"], "does not take"),
+        (
+            vec!["check", "3-nary", "--node-limit", "5"],
+            "does not take",
+        ),
+        (
+            vec!["stats", pla_path, "--require-complete"],
+            "does not take",
+        ),
+        (
+            vec!["reduce", pla_path, "--output", &completed],
+            "does not take",
+        ),
+        (vec!["lint", "3-nary", "--samples", "4"], "does not take"),
+        (
+            vec!["inject", "3-nary", "--require-complete"],
+            "does not take",
+        ),
+        (
+            vec![
+                "reduce",
+                pla_path,
+                "--method",
+                "fixpoint",
+                "--checkpoint-dir",
+                &ckpt_dir,
+                "--max-iter",
+                "x",
+            ],
+            "--max-iter: invalid digit",
+        ),
     ] {
         let out = bddcf().args(&args).output().expect("spawn");
         assert_eq!(out.status.code(), Some(2), "usage error for {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(says), "{args:?}: stderr {err}");
     }
+    assert!(
+        !std::path::Path::new(&ckpt_dir).exists(),
+        "a malformed --max-iter must exit before the checkpoint directory is created"
+    );
+    assert!(!std::path::Path::new(&completed).exists());
+    let _ = std::fs::remove_file(&cas);
+}
+
+/// `reduce --method fixpoint` honours `--max-iter` with or without
+/// `--checkpoint-dir`: some step limit fits one fixpoint iteration but not
+/// four, so `--max-iter 1` completes where `--max-iter 4` runs out.
+#[test]
+fn fixpoint_reduce_honours_max_iter() {
+    let pla = sample_pla();
+    let exit_code = |max_iter: &str, step_limit: u64| {
+        bddcf()
+            .arg("reduce")
+            .arg(&pla.path)
+            .args(["--method", "fixpoint", "--require-complete"])
+            .args([
+                "--max-iter",
+                max_iter,
+                "--step-limit",
+                &step_limit.to_string(),
+            ])
+            .output()
+            .expect("spawn")
+            .status
+            .code()
+    };
+    let separating = (100..=600)
+        .step_by(10)
+        .find(|&limit| exit_code("1", limit) == Some(0) && exit_code("4", limit) == Some(3));
+    assert!(
+        separating.is_some(),
+        "no step limit in 100..=600 lets one fixpoint iteration complete but not four"
+    );
 }
 
 /// The panic probe through the binary: the batch quarantines it, lists it
