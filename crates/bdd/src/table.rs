@@ -15,8 +15,8 @@
 //! table's generation invalidates every entry in O(1), which is what makes
 //! per-swap cache invalidation during sifting affordable (the previous
 //! design dropped and reallocated four `HashMap`s per adjacent-level
-//! swap). All tables expose monotone counters so `bddcf bench`/`stats`
-//! can report probe lengths and hit rates ([`CacheStats`],
+//! swap). All tables expose monotone counters so `bddcf stats` and the
+//! benchmark can report probe lengths and hit rates ([`CacheStats`],
 //! [`EngineStats`]).
 
 use crate::manager::NodeId;

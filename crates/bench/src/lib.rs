@@ -9,16 +9,18 @@
 //! | `cargo run --release -p bddcf-bench --bin fig9`   | Fig. 9: cascade structure of the 5-7-11-13 RNS converter |
 //! | `cargo run --release -p bddcf-bench --bin mtbdd_compare` | §1's MTBDD vs BDD_for_CF size claim |
 //! | `cargo bench -p bddcf-bench` | Criterion micro-benchmarks + ablations |
+//!
+//! End-to-end and per-layer timing lives in `perfbench/`, the repository
+//! benchmark that `BENCHMARK.json` declares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pipeline;
 pub mod report;
-pub mod suite;
 
 pub use pipeline::{
-    measure_benchmark, measure_benchmark_quarantined, HalfMeasurement, Measurement, PipelineOptions,
+    measure_benchmark, measure_benchmark_quarantined, EngineFigures, HalfMeasurement, Measurement,
+    PipelineOptions,
 };
 pub use report::TableWriter;
-pub use suite::{run_bench, run_suite, BenchReport, EngineFigures, BENCH_FORMAT};

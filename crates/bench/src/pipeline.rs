@@ -8,8 +8,10 @@
 //! 3. measure the ISF representation, then — in the same (sifted) variable
 //!    order — the `DC=0` and `DC=1` completions, then Algorithm 3.1 and
 //!    Algorithm 3.3 applied to forks of the sifted ISF.
+//!
+//! [`Shape`] and [`EngineFigures`] are also what `perfbench` (the
+//! repository benchmark) records per half.
 
-#![allow(clippy::single_range_in_vec_init)] // the partition API takes lists of ranges
 use bddcf_bdd::ReorderCost;
 use bddcf_core::partition::bipartition;
 use bddcf_core::{Alg33Options, Cf};
@@ -19,25 +21,60 @@ use std::time::{Duration, Instant};
 /// Knobs for [`measure_benchmark`].
 #[derive(Clone, Debug)]
 pub struct PipelineOptions {
-    /// Sifting passes over each half (0 disables reordering).
+    /// Sifting passes over each half with the sum-of-widths cost (0
+    /// disables reordering).
     pub sift_passes: usize,
-    /// Sifting cost function (the paper: sum of widths).
-    pub sift_cost: ReorderCost,
     /// Algorithm 3.3 tuning.
     pub alg33: Alg33Options,
-    /// Also run support-variable reduction before the algorithms (§3.3
-    /// suggests it; only the word lists benefit).
-    pub reduce_support: bool,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             sift_passes: 2,
-            sift_cost: ReorderCost::SumOfWidths,
             alg33: Alg33Options::default(),
-            reduce_support: false,
         }
+    }
+}
+
+/// Engine-health counters summed over several managers (arena, unique
+/// table, op caches, GC).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EngineFigures {
+    /// Highest live interior node count observed.
+    pub peak_nodes: u64,
+    /// Highest arena footprint in bytes (capacity × node size).
+    pub peak_arena_bytes: u64,
+    /// Unique-table lookups.
+    pub unique_lookups: u64,
+    /// Chain links followed across all unique-table lookups (probe length
+    /// = `unique_probes / unique_lookups`).
+    pub unique_probes: u64,
+    /// Computed-table hits, summed over the four op caches.
+    pub cache_hits: u64,
+    /// Computed-table misses, summed over the four op caches.
+    pub cache_misses: u64,
+    /// Live computed-table entries overwritten by a colliding insert.
+    pub cache_evictions: u64,
+    /// Garbage collections run.
+    pub gc_runs: u64,
+    /// Total wall time spent inside GC.
+    pub gc_pause_ns: u64,
+}
+
+impl EngineFigures {
+    /// Accumulates another set of figures into this one (peaks max,
+    /// counters add).
+    pub fn absorb(&mut self, other: &EngineFigures) {
+        self.peak_nodes = self.peak_nodes.max(other.peak_nodes);
+        self.peak_arena_bytes = self.peak_arena_bytes.max(other.peak_arena_bytes);
+        self.unique_lookups += other.unique_lookups;
+        self.unique_probes += other.unique_probes;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.cache_evictions += other.cache_evictions;
+        self.gc_runs += other.gc_runs;
+        self.gc_pause_ns += other.gc_pause_ns;
     }
 }
 
@@ -54,8 +91,6 @@ pub struct Shape {
 /// of Table 4).
 #[derive(Clone, Debug)]
 pub struct HalfMeasurement {
-    /// Output range of this half in the original numbering.
-    pub range: std::ops::Range<usize>,
     /// Constant-0 completion.
     pub dc0: Shape,
     /// Constant-1 completion.
@@ -70,11 +105,6 @@ pub struct HalfMeasurement {
     pub time_alg31: Duration,
     /// Time spent in Algorithm 3.3.
     pub time_alg33: Duration,
-    /// Support variables removed before the algorithms (when enabled).
-    pub removed_inputs: usize,
-    /// Engine-health counters accumulated over the half's managers (the
-    /// sifted ISF's plus the Algorithm 3.1 and 3.3 forks').
-    pub engine: crate::suite::EngineFigures,
 }
 
 /// Table-4 measurements of one benchmark.
@@ -116,44 +146,6 @@ fn shape_of(cf: &Cf) -> Shape {
     }
 }
 
-pub(crate) fn engine_figures(cf: &Cf) -> crate::suite::EngineFigures {
-    let stats = cf.manager().engine_stats();
-    let cache = stats.cache_total();
-    crate::suite::EngineFigures {
-        peak_nodes: stats.peak_nodes,
-        peak_arena_bytes: stats.peak_arena_bytes,
-        unique_lookups: stats.unique_lookups,
-        unique_probes: stats.unique_probes,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_evictions: cache.evictions,
-        gc_runs: stats.gc_runs,
-        gc_pause_ns: stats.gc_pause_ns,
-    }
-}
-
-/// Counters accrued in `after` beyond `base` (a forked manager inherits
-/// the shared prefix's monotone counters; subtracting the fork point keeps
-/// the prefix from being counted once per fork). Peaks pass through —
-/// [`EngineFigures::absorb`](crate::suite::EngineFigures::absorb) takes
-/// the max.
-fn engine_delta(
-    after: &crate::suite::EngineFigures,
-    base: &crate::suite::EngineFigures,
-) -> crate::suite::EngineFigures {
-    crate::suite::EngineFigures {
-        peak_nodes: after.peak_nodes,
-        peak_arena_bytes: after.peak_arena_bytes,
-        unique_lookups: after.unique_lookups.saturating_sub(base.unique_lookups),
-        unique_probes: after.unique_probes.saturating_sub(base.unique_probes),
-        cache_hits: after.cache_hits.saturating_sub(base.cache_hits),
-        cache_misses: after.cache_misses.saturating_sub(base.cache_misses),
-        cache_evictions: after.cache_evictions.saturating_sub(base.cache_evictions),
-        gc_runs: after.gc_runs.saturating_sub(base.gc_runs),
-        gc_pause_ns: after.gc_pause_ns.saturating_sub(base.gc_pause_ns),
-    }
-}
-
 /// Shape of a completion variant: same input order as the sifted ISF, but
 /// output positions legalized against the completion's own Definition-2.4
 /// constraints (see [`Cf::completion_variant`] — this is what makes the
@@ -168,37 +160,20 @@ pub fn measure_benchmark(benchmark: &dyn Benchmark, options: &PipelineOptions) -
     let halves_cf = bipartition(&mgr, &layout, &isf);
     drop(mgr);
 
-    let m = layout.num_outputs();
-    let half = m.div_ceil(2);
-    let ranges = if halves_cf.len() == 1 {
-        vec![0..m]
-    } else {
-        vec![0..half, half..m]
-    };
-
     let mut time_sift = Duration::ZERO;
     let mut halves = Vec::new();
-    for (mut cf, range) in halves_cf.into_iter().zip(ranges) {
+    for mut cf in halves_cf {
         let t0 = Instant::now();
         if options.sift_passes > 0 {
-            cf.optimize_order(options.sift_cost, options.sift_passes);
+            cf.optimize_order(ReorderCost::SumOfWidths, options.sift_passes);
         }
         time_sift += t0.elapsed();
 
         audit(&mut cf, "after sift");
 
-        let mut removed_inputs = 0;
-        if options.reduce_support {
-            removed_inputs = cf.reduce_support_variables().len();
-            audit(&mut cf, "after support reduction");
-        }
-
         let isf_shape = shape_of(&cf);
         let dc0 = completion_shape(&cf, false);
         let dc1 = completion_shape(&cf, true);
-
-        // Fork point: both algorithm forks inherit these counters.
-        let engine_base = engine_figures(&cf);
 
         let mut cf31 = cf.clone();
         let t31 = Instant::now();
@@ -212,12 +187,7 @@ pub fn measure_benchmark(benchmark: &dyn Benchmark, options: &PipelineOptions) -
         let time_alg33 = t33.elapsed();
         audit(&mut cf33, "after Algorithm 3.3");
 
-        let mut engine = engine_base;
-        engine.absorb(&engine_delta(&engine_figures(&cf31), &engine_base));
-        engine.absorb(&engine_delta(&engine_figures(&cf33), &engine_base));
-
         halves.push(HalfMeasurement {
-            range,
             dc0,
             dc1,
             isf: isf_shape,
@@ -225,8 +195,6 @@ pub fn measure_benchmark(benchmark: &dyn Benchmark, options: &PipelineOptions) -
             alg33: shape_of(&cf33),
             time_alg31,
             time_alg33,
-            removed_inputs,
-            engine,
         });
     }
 

@@ -14,6 +14,7 @@
 //! oracle.
 
 use crate::{CheckReport, Layer};
+use bddcf_bdd::splitmix64;
 use bddcf_cascade::Cascade;
 use bddcf_core::Cf;
 use bddcf_decomp::bdd_decomp::rails_for;
@@ -48,7 +49,7 @@ pub fn check_cascade_against_oracle(
     let mut report = CheckReport::new();
     let n = cascade.num_inputs();
     assert_eq!(n, oracle.num_inputs(), "oracle arity mismatch");
-    let mut rng = SplitMix64::new(0x5eed_cafe);
+    let mut rng: u64 = 0x5eed_cafe;
     for _ in 0..samples {
         let input = random_input(&mut rng, n);
         let word = cascade.eval(&input);
@@ -76,7 +77,7 @@ pub fn check_multi_cascade_against_oracle(
 ) -> CheckReport {
     let mut report = CheckReport::new();
     let n = oracle.num_inputs();
-    let mut rng = SplitMix64::new(0x0dd_ba11);
+    let mut rng: u64 = 0x0dd_ba11;
     for _ in 0..samples {
         let input = random_input(&mut rng, n);
         let word = multi.eval(&input);
@@ -158,7 +159,7 @@ pub(crate) fn columns_below(cf: &Cf, cut: u32) -> usize {
 /// The hardware model must compute exactly the BDD walk's completion.
 fn sampled_agreement(cascade: &Cascade, cf: &Cf, samples: u64, report: &mut CheckReport) {
     let n = cascade.num_inputs();
-    let mut rng = SplitMix64::new(0xb0a7_1e55);
+    let mut rng: u64 = 0xb0a7_1e55;
     for _ in 0..samples {
         let input = random_input(&mut rng, n);
         let hardware = cascade.eval(&input);
@@ -176,26 +177,16 @@ fn sampled_agreement(cascade: &Cascade, cf: &Cf, samples: u64, report: &mut Chec
     }
 }
 
-/// Minimal deterministic generator for input sampling (kept local so this
-/// crate adds no runtime dependencies).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+/// The next draw of the splitmix64 stream whose state is `state`.
+fn draw(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    out
 }
 
-fn random_input(rng: &mut SplitMix64, n: usize) -> Vec<bool> {
-    (0..n).map(|_| rng.next() & 1 == 1).collect()
+/// `n` sampled input bits, one draw each.
+fn random_input(state: &mut u64, n: usize) -> Vec<bool> {
+    (0..n).map(|_| draw(state) & 1 == 1).collect()
 }
 
 #[cfg(test)]
@@ -269,5 +260,21 @@ mod tests {
             !report.is_clean(),
             "cascade for the DC=1 completion must differ somewhere"
         );
+    }
+
+    #[test]
+    fn sampling_streams_are_pinned() {
+        // First draws of the three sampling seeds on the stream
+        // `out = splitmix64(x); x += γ` from `x = seed`. Changing the
+        // stream would change every sampled input of the checks above.
+        for (seed, expected) in [
+            (0xb0a7_1e55, [0x1361_5584_2d25_ad72, 0x441e_35b6_6809_7f0b]),
+            (0x5eed_cafe, [0x432b_1bed_2636_3815, 0xb034_68e8_1b67_16be]),
+            (0x0dd_ba11, [0x7473_b6b5_be5e_b057, 0x854a_fa3c_7009_e126]),
+        ] {
+            let mut state: u64 = seed;
+            let drawn = [draw(&mut state), draw(&mut state)];
+            assert_eq!(drawn, expected, "seed {seed:#x}");
+        }
     }
 }

@@ -13,10 +13,9 @@
 //! by wall-clock pressure is a property of one overloaded moment, not of
 //! the spec, and must not be replayed to a later, idle server.
 
-use crate::job::build_cf;
+use crate::job::passes_audit;
 use crate::protocol::{SynthResult, SynthSpec};
 use bddcf_bdd::snapshot::fnv1a64;
-use bddcf_check::audit_artifact_text;
 
 /// Cache observability counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,19 +102,8 @@ impl ResponseCache {
     }
 
     fn validate(&self, spec: &SynthSpec, idx: usize) -> bool {
-        let Ok(mut spec_cf) = build_cf(spec) else {
-            return false;
-        };
         let entry = &self.entries[idx];
-        let module = format!("spec_{:016x}", entry.hash);
-        audit_artifact_text(
-            &entry.result.cascade,
-            &entry.result.verilog,
-            &module,
-            &mut spec_cf,
-            &format!("cache:{:016x}", entry.hash),
-        )
-        .is_clean()
+        passes_audit(spec, &entry.result, &format!("cache:{:016x}", entry.hash))
     }
 
     /// Inserts a clean result, evicting the least recently used entry at

@@ -1,6 +1,6 @@
 //! `bddcf diskchaos` — the hostile-disk harness.
 //!
-//! Where `bddcf loadtest --kill` murders the *process*, this harness
+//! Where `bddcf loadtest` murders the *process*, this harness
 //! murders the *disk*. Both durable paths of the workspace — `BDDCFCKP`
 //! checkpoint sequences and the serve spool — are driven over a
 //! journaling [`FaultVfs`], and the harness then sweeps *crash points*
@@ -49,11 +49,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bddcf_bdd::vfs::{splitmix64, FaultPlan, FaultVfs, Vfs, WriteFault};
-use bddcf_check::{audit_artifact_text, run_quarantined, with_quiet_panics};
+use bddcf_check::{run_quarantined, with_quiet_panics};
 use bddcf_core::checkpoint::checkpoint_seq;
 use bddcf_core::latest_valid_checkpoint_vfs;
 
-use crate::job::{build_cf, execute, execute_vfs, ExecError, ExecOutcome};
+use crate::job::{execute, execute_vfs, passes_audit, ExecError, ExecOutcome};
 use crate::protocol::{
     Request, RequestBody, Response, ShutdownMode, Source, Status, SynthResult, SynthSpec,
 };
@@ -574,17 +574,7 @@ fn serve_config(spool: &Path, vfs: &FaultVfs) -> ServerConfig {
 /// Runs one surviving artifact pair through the audit stack.
 fn audit_result(spec: &SynthSpec, result: &SynthResult, tag: &str, report: &mut DiskChaosReport) {
     report.artifacts_audited += 1;
-    let clean = build_cf(spec).is_ok_and(|mut cf| {
-        audit_artifact_text(
-            &result.cascade,
-            &result.verilog,
-            &format!("spec_{}", spec.hash_hex()),
-            &mut cf,
-            tag,
-        )
-        .is_clean()
-    });
-    if !clean {
+    if !passes_audit(spec, result, tag) {
         report
             .violations
             .push(format!("{tag}: surviving artifact failed the audit stack"));

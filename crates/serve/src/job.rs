@@ -15,7 +15,7 @@ use crate::protocol::{ErrorCode, Source, SynthResult, SynthSpec, SynthStats};
 use bddcf_bdd::vfs::{StdVfs, Vfs};
 use bddcf_bdd::{Budget, Error as BudgetError, ReorderCost};
 use bddcf_cascade::{synthesize_governed, CascadeOptions, SynthesisError};
-use bddcf_check::PanicProbe;
+use bddcf_check::{audit_artifact_text, PanicProbe};
 use bddcf_core::{
     latest_valid_checkpoint_vfs, Alg33Options, Cf, CheckpointError, Checkpointer, DegradationReport,
 };
@@ -80,6 +80,23 @@ pub fn build_cf(spec: &SynthSpec) -> Result<Cf, ExecError> {
         cf.optimize_order(ReorderCost::SumOfWidths, spec.sift);
     }
     Ok(cf)
+}
+
+/// Does a received `result` for `spec` pass the artifact audit stack
+/// ([`audit_artifact_text`]) against a spec χ built fresh by [`build_cf`]?
+/// `stem` labels the audited files. A cache hit, a spool replay and the
+/// chaos harnesses' post-mortems all accept a result only through here.
+pub(crate) fn passes_audit(spec: &SynthSpec, result: &SynthResult, stem: &str) -> bool {
+    build_cf(spec).is_ok_and(|mut spec_cf| {
+        audit_artifact_text(
+            &result.cascade,
+            &result.verilog,
+            &format!("spec_{}", spec.hash_hex()),
+            &mut spec_cf,
+            stem,
+        )
+        .is_clean()
+    })
 }
 
 /// A completed job: the deterministic artifact payload plus whether budget

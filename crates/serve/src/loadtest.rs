@@ -24,14 +24,13 @@
 //! tests) the kill is a `checkpoint`-mode shutdown plus restart, which
 //! exercises the same park/recover path without process isolation.
 
-use crate::job::execute;
+use crate::job::{execute, passes_audit};
 use crate::protocol::{
     read_frame, roundtrip, ErrorCode, Request, RequestBody, Response, ShutdownMode, Source, Status,
     SynthResult, SynthSpec,
 };
 use crate::server::{parse_control_status, Server, ServerConfig};
 use bddcf_bdd::{splitmix64, Budget};
-use bddcf_check::audit_artifact_text;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
@@ -49,8 +48,6 @@ pub struct LoadTestConfig {
     pub clients: usize,
     /// Seed for the request mix, retry jitter, and kill timing.
     pub seed: u64,
-    /// Kill the daemon mid-batch and restart it on the same spool.
-    pub kill: bool,
     /// Spool directory (shared across daemon restarts).
     pub spool_dir: PathBuf,
     /// Daemon binary (spawned as `<bin> serve …` and `SIGKILL`ed); `None`
@@ -68,7 +65,6 @@ impl Default for LoadTestConfig {
             requests: 200,
             clients: 4,
             seed: 0xb0d0_cf5e,
-            kill: true,
             spool_dir: PathBuf::from("loadtest-spool"),
             server_bin: None,
             workers: 2,
@@ -674,17 +670,7 @@ fn audit_spool(config: &LoadTestConfig, report: &mut LoadTestReport) {
             report.audit_failures += 1;
             continue;
         };
-        let audit_ok = crate::job::build_cf(&spec).is_ok_and(|mut spec_cf| {
-            audit_artifact_text(
-                &result.cascade,
-                &result.verilog,
-                &format!("spec_{}", spec.hash_hex()),
-                &mut spec_cf,
-                &name,
-            )
-            .is_clean()
-        });
-        if !audit_ok {
+        if !passes_audit(&spec, result, &name) {
             report.audit_failures += 1;
         }
     }
@@ -713,10 +699,10 @@ fn drive(config: &LoadTestConfig) -> Result<LoadTestReport, String> {
 
     // The killer: wait for a deterministic fraction of wall-progress, then
     // kill + restart once.
-    let killer = if config.kill {
+    let killer = {
         let ctl = Arc::clone(&ctl);
         let config = config.clone();
-        Some(std::thread::spawn(move || {
+        std::thread::spawn(move || {
             let pause = 120 + splitmix64(config.seed) % 180;
             std::thread::sleep(Duration::from_millis(pause));
             let mut guard = lock(&ctl);
@@ -726,9 +712,7 @@ fn drive(config: &LoadTestConfig) -> Result<LoadTestReport, String> {
             // restarted instance.
             // xlint: allow(XL202) — intentional barrier, see above.
             kill_and_restart(&mut guard, &config).map(|()| 1u64)
-        }))
-    } else {
-        None
+        })
     };
 
     let clients: Vec<_> = (0..config.clients.max(1))
@@ -747,12 +731,9 @@ fn drive(config: &LoadTestConfig) -> Result<LoadTestReport, String> {
             .map_err(|_| "a client thread panicked".to_string())?;
         merge(&mut report, &outcome.report);
     }
-    if let Some(killer) = killer {
-        let kills = killer
-            .join()
-            .map_err(|_| "the killer thread panicked".to_string())??;
-        report.kills = kills;
-    }
+    report.kills = killer
+        .join()
+        .map_err(|_| "the killer thread panicked".to_string())??;
 
     // Every clone of `ctl` joined above, so take the controller out of
     // its mutex: the final drain shutdown must not run under a guard.
@@ -826,7 +807,6 @@ mod tests {
             requests: 60,
             clients: 3,
             seed: 11,
-            kill: true,
             spool_dir: dir.clone(),
             server_bin: None,
             workers: 2,

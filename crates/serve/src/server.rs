@@ -30,7 +30,7 @@
 //! resumable boundary and leaves the rest spooled for the next start.
 
 use crate::cache::{CacheStats, ResponseCache};
-use crate::job::build_cf;
+use crate::job::passes_audit;
 use crate::pool::{DoneHook, Job, PoolConfig, PoolCounters, WorkerPool};
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, FrameError, Request, RequestBody, Response, ShutdownMode,
@@ -39,7 +39,6 @@ use crate::protocol::{
 use crate::{json, json::Json};
 use bddcf_bdd::vfs::{self, StdVfs, Vfs};
 use bddcf_bdd::{Clock, MonotonicClock};
-use bddcf_check::audit_artifact_text;
 use bddcf_core::quarantine_name;
 use std::collections::HashSet;
 use std::io::{self, BufReader, BufWriter, Write as _};
@@ -639,18 +638,10 @@ fn replay_spooled(store: &Store, spec: &SynthSpec, entry_dir: &Path) -> Option<R
     if response.status != Status::Ok {
         return None; // errors and degradations are not replayable verdicts
     }
-    let ok = response.result.as_ref().is_some_and(|result| {
-        build_cf(spec).is_ok_and(|mut spec_cf| {
-            audit_artifact_text(
-                &result.cascade,
-                &result.verilog,
-                &format!("spec_{}", spec.hash_hex()),
-                &mut spec_cf,
-                &format!("spool:{}", spec.hash_hex()),
-            )
-            .is_clean()
-        })
-    });
+    let ok = response
+        .result
+        .as_ref()
+        .is_some_and(|result| passes_audit(spec, result, &format!("spool:{}", spec.hash_hex())));
     if !ok {
         store.health.mark_fault();
         quarantine(replay_vfs, &path, "audit-failing spool response");

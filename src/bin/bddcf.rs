@@ -142,12 +142,6 @@ const COMMANDS: &[Command] = &[
         resume,
     ),
     (
-        "bench",
-        "[--suite small|table4|table5[,…]] [--json] [-o report.json]
-[--diff BASELINE.json] [--tolerance FRACTION]",
-        bench,
-    ),
-    (
         "serve",
         "[--addr A] [--workers N] [--queue-cap N]
 [--max-inflight-nodes N] [--spool D] [--cache-cap N]",
@@ -156,7 +150,7 @@ const COMMANDS: &[Command] = &[
     (
         "loadtest",
         "[--requests N] [--clients N] [--seed N] [--dir D]
-[--workers N] [--queue-cap N] [--no-kill] [--in-process]",
+[--workers N] [--queue-cap N]",
         loadtest,
     ),
     (
@@ -202,14 +196,6 @@ RESOURCE GOVERNOR (stats | reduce | cascade):
                        failure: exit 3 instead of printing a degraded result
   Reductions degrade gracefully under a budget (downgrades reported on
   stderr, result stays valid); hard exhaustion exits 3, no panic.
-
-BENCHMARKING (bench):
-  Runs the measurement suites (default table4,table5; --suite accepts a
-  comma-separated list) and prints a human summary, or with --json the
-  deterministic bddcf-bench-v1 report (to -o FILE when given). Every
-  report embeds a machine-calibration figure; --diff BASELINE.json
-  compares calibration-normalized wall clocks and exits 1 when a shared
-  suite regressed beyond --tolerance (default 0.20).
 
 SERVING (serve | loadtest):
   serve binds a TCP daemon speaking u32-length-prefixed JSON frames and
@@ -982,15 +968,10 @@ fn loadtest(args: &Args) -> Result<Outcome, CliError> {
         requests: args.or("--requests", defaults.requests)?,
         clients: args.or("--clients", defaults.clients)?.max(1),
         seed: args.or("--seed", defaults.seed)?,
-        kill: defaults.kill && !args.has("--no-kill"),
         spool_dir: args.get("--dir")?.unwrap_or_else(|| {
             std::env::temp_dir().join(format!("bddcf-loadtest-{}", std::process::id()))
         }),
-        server_bin: if args.has("--in-process") {
-            None
-        } else {
-            Some(std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?)
-        },
+        server_bin: Some(std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?),
         workers: args.or("--workers", defaults.workers)?.max(1),
         queue_capacity: args.or("--queue-cap", defaults.queue_capacity)?.max(1),
     };
@@ -1032,160 +1013,4 @@ fn diskchaos(args: &Args) -> Result<Outcome, CliError> {
     } else {
         Outcome::Findings
     })
-}
-
-/// One suite's wall clock pulled out of a bddcf-bench-v1 report.
-struct SuiteFigure {
-    name: String,
-    total_wall_ns: u64,
-}
-
-/// Parses a bddcf-bench-v1 JSON report down to the figures the diff
-/// needs: the calibration time and each suite's total wall clock.
-fn parse_bench_figures(text: &str, origin: &str) -> Result<(u64, Vec<SuiteFigure>), String> {
-    let root = bddcf::serve::json::parse(text.as_bytes()).map_err(|e| format!("{origin}: {e}"))?;
-    let format = root
-        .get("format")
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("{origin}: missing \"format\""))?;
-    if format != bddcf::bench::BENCH_FORMAT {
-        return Err(format!(
-            "{origin}: format {format:?}, expected {:?}",
-            bddcf::bench::BENCH_FORMAT
-        ));
-    }
-    let calibration_ns = root
-        .get("calibration_ns")
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("{origin}: missing \"calibration_ns\""))?;
-    let mut suites = Vec::new();
-    for suite in root
-        .get("suites")
-        .and_then(|v| v.as_arr())
-        .ok_or_else(|| format!("{origin}: missing \"suites\""))?
-    {
-        let name = suite
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("{origin}: suite without \"name\""))?;
-        let total_wall_ns = suite
-            .get("total_wall_ns")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("{origin}: suite {name:?} without \"total_wall_ns\""))?;
-        suites.push(SuiteFigure {
-            name: name.to_string(),
-            total_wall_ns,
-        });
-    }
-    Ok((calibration_ns, suites))
-}
-
-/// Compares a fresh report against a committed baseline. Wall clocks are
-/// normalized by each report's own calibration figure, so the comparison
-/// is per unit of this machine's speed; a suite counts as regressed when
-/// its normalized wall clock exceeds the baseline's by more than
-/// `tolerance` (a fraction, e.g. 0.20). Suites present in only one report
-/// are reported but not failed, so baselines can grow suites over time.
-fn diff_bench_reports(
-    current_json: &str,
-    baseline_json: &str,
-    baseline_origin: &str,
-    tolerance: f64,
-) -> Result<Outcome, String> {
-    let (current_cal, current) = parse_bench_figures(current_json, "current run")?;
-    let (baseline_cal, baseline) = parse_bench_figures(baseline_json, baseline_origin)?;
-    if current_cal == 0 || baseline_cal == 0 {
-        return Err("calibration figure of zero; cannot normalize".into());
-    }
-    let mut regressions = 0usize;
-    for base in &baseline {
-        let Some(cur) = current.iter().find(|s| s.name == base.name) else {
-            println!(
-                "bench-diff: suite {:?} only in baseline (skipped)",
-                base.name
-            );
-            continue;
-        };
-        // Wall clocks per unit of calibration work: dimensionless ratios
-        // comparable across machines of different speeds.
-        let cur_norm = cur.total_wall_ns as f64 / current_cal as f64;
-        let base_norm = base.total_wall_ns as f64 / baseline_cal as f64;
-        let ratio = cur_norm / base_norm;
-        let verdict = if ratio > 1.0 + tolerance {
-            regressions += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "bench-diff: {:<8} {:>7.3}x baseline (normalized; tolerance {:.0}%) {}",
-            base.name,
-            ratio,
-            tolerance * 100.0,
-            verdict
-        );
-    }
-    for cur in &current {
-        if !baseline.iter().any(|s| s.name == cur.name) {
-            println!("bench-diff: suite {:?} not in baseline (skipped)", cur.name);
-        }
-    }
-    if regressions > 0 {
-        eprintln!("bench-diff: {regressions} suite(s) regressed beyond the tolerance");
-        return Ok(Outcome::Findings);
-    }
-    Ok(Outcome::Clean)
-}
-
-fn bench(args: &Args) -> Result<Outcome, CliError> {
-    let tolerance: f64 = args.or("--tolerance", 0.20)?;
-    if !tolerance.is_finite() || tolerance < 0.0 {
-        return Err("--tolerance needs a non-negative fraction".into());
-    }
-    let (output, json_only, diff) = (args.value("-o"), args.has("--json"), args.value("--diff"));
-    if !args.positional.is_empty() {
-        return Err(format!(
-            "bench takes no positional arguments (got {:?})",
-            args.positional
-        )
-        .into());
-    }
-    let suites: Vec<String> = match args.value("--suite") {
-        Some(list) => list.split(',').map(str::to_string).collect(),
-        None => vec!["table4".into(), "table5".into()],
-    };
-    let report = bddcf::bench::run_bench(&suites, true)?;
-    let json = report.to_json();
-    if let Some(path) = output {
-        std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("bench report written to {path}");
-    }
-    if json_only && output.is_none() {
-        print!("{json}");
-    }
-    if !json_only {
-        for suite in &report.suites {
-            println!(
-                "{:<8} {:>10.3} ms over {} benchmark(s)",
-                suite.name,
-                suite.total_wall_ns as f64 / 1e6,
-                suite.entries.len()
-            );
-            for (label, payload) in &suite.quarantined {
-                println!("  quarantined {label}: {payload}");
-            }
-        }
-        println!(
-            "calibration: {:.3} ms (fixed workload; used to normalize --diff)",
-            report.calibration_ns as f64 / 1e6
-        );
-    }
-    match diff {
-        Some(path) => {
-            let baseline =
-                std::fs::read_to_string(path).map_err(|e| format!("--diff {path}: {e}"))?;
-            Ok(diff_bench_reports(&json, &baseline, path, tolerance)?)
-        }
-        None => Ok(Outcome::Clean),
-    }
 }

@@ -21,8 +21,8 @@
 //! * [`serve`] — the fault-tolerant synthesis daemon (`bddcf serve`) and
 //!   its chaos harness (`bddcf loadtest`): admission control, deadlines,
 //!   worker quarantine, crash recovery over a durable spool.
-//! * [`bench`] — the measurement pipeline behind the table binaries and
-//!   `bddcf bench` (machine-readable wall-clock + engine-health reports).
+//! * [`bench`] — the Table-4 measurement pipeline behind the table
+//!   binaries, and the shapes and engine counters `perfbench` reports.
 
 #![forbid(unsafe_code)]
 

@@ -380,6 +380,9 @@ fn exit_codes_distinguish_findings_from_usage_errors() {
         (vec!["inject", "--no-such-flag"], "does not take"),
         (vec!["diskchaos", "--no-such-flag"], "does not take"),
         (vec!["frobnicate"], "unknown subcommand"),
+        (vec!["bench"], "unknown subcommand"),
+        (vec!["loadtest", "--no-kill"], "does not take"),
+        (vec!["loadtest", "--in-process"], "does not take"),
         (vec!["sim", &cas, "0000", "--workers", "9"], "does not take"),
         (
             vec!["check", "3-nary", "--node-limit", "5"],
