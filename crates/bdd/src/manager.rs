@@ -1523,6 +1523,85 @@ impl BddManager {
         Ok(r)
     }
 
+    /// Does the relational product keep the projection:
+    /// `∃ cube. (f ∧ g) = ∃ cube. f`? Only defined for operands whose
+    /// projections are already equal (`∃ cube. f = ∃ cube. g`); it is then
+    /// the merge-compatibility test of a BDD_for_CF with the output
+    /// variables as `cube`.
+    ///
+    /// Unlike comparing [`and_exists`](Self::and_exists) with
+    /// [`exists_cube`](Self::exists_cube), this stops at the first cofactor
+    /// pair whose product loses part of the projection, so a failing test
+    /// costs a path rather than the whole product. A pair that keeps its
+    /// projection is cached as the and-exists entry `∃ cube. (f ∧ g) =
+    /// ∃ cube. f`.
+    ///
+    /// `cube` must be a positive cube as in [`BddManager::exists_cube`].
+    pub fn and_exists_keeps(&mut self, f: NodeId, g: NodeId, cube: NodeId) -> bool {
+        self.unbudgeted(|m| m.try_and_exists_keeps(f, g, cube))
+    }
+
+    /// Budgeted variant of [`and_exists_keeps`](Self::and_exists_keeps).
+    pub fn try_and_exists_keeps(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        cube: NodeId,
+    ) -> Result<bool, Error> {
+        let live = self.try_exists_cube(f, cube)?;
+        debug_assert!(
+            self.try_exists_cube(g, cube)
+                .map_or(true, |live_g| live_g == live),
+            "and_exists_keeps needs operands with equal projections"
+        );
+        self.and_exists_keeps_rec(f, g, live, cube)
+    }
+
+    /// [`try_and_exists_keeps`](Self::try_and_exists_keeps) with
+    /// `live = ∃ cube. f = ∃ cube. g` carried along.
+    fn and_exists_keeps_rec(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        live: NodeId,
+        cube: NodeId,
+    ) -> Result<bool, Error> {
+        // Equal projections make these trivial: `f·f = f`, and a FALSE
+        // operand forces the other one to FALSE, a TRUE one makes both
+        // projections TRUE.
+        if f == g || self.is_const(f) || self.is_const(g) {
+            return Ok(true);
+        }
+        let (ka, kb) = (f.min(g).0, f.max(g).0);
+        if let Some(r) = self.and_exists_cache.get(ka, kb, cube.0) {
+            return Ok(self.brand(r) == live);
+        }
+        self.charge()?;
+        let top = self.level_of_node(f).min(self.level_of_node(g));
+        let mut c = cube;
+        while c != TRUE && self.level_of_node(c) < top {
+            c = self.hi(c);
+        }
+        let keeps = if self.level_of_node(c) == top {
+            // A quantified top variable ORs the cofactor pairs' products,
+            // so no single pair decides: build this product.
+            self.try_and_exists(f, g, c)? == live
+        } else {
+            // An unquantified top variable commutes with `∃ c`: each
+            // cofactor pair has the matching cofactor of `live` as its
+            // (equal) projections, and the product keeps `live` iff both
+            // pairs keep theirs.
+            let (f0, f1) = self.cofactors_at(f, top);
+            let (g0, g1) = self.cofactors_at(g, top);
+            let (l0, l1) = self.cofactors_at(live, top);
+            self.and_exists_keeps_rec(f0, g0, l0, c)? && self.and_exists_keeps_rec(f1, g1, l1, c)?
+        };
+        if keeps {
+            self.and_exists_cache.put(ka, kb, cube.0, live.0);
+        }
+        Ok(keeps)
+    }
+
     /// The Coudert–Madre *restrict* operator: returns a function that
     /// agrees with `f` on the care set `care` and is (heuristically) a
     /// smaller BDD — the classic single-function don't-care minimization

@@ -70,6 +70,28 @@ fn all_assignments() -> impl Iterator<Item = Vec<bool>> {
     (0..1u32 << NVARS).map(|bits| (0..NVARS).map(|i| bits >> i & 1 == 1).collect())
 }
 
+/// Checks `and_exists_keeps(f, g, cube)`, both ways round, against its
+/// definition `∃cube.(f·g) = ∃cube.f` computed on cleared caches. The
+/// and-exists entries the op leaves behind must give the same product.
+fn check_keeps(
+    mgr: &mut BddManager,
+    f: NodeId,
+    g: NodeId,
+    cube: NodeId,
+) -> proptest::TestCaseResult {
+    mgr.clear_caches();
+    let keeps = mgr.and_exists_keeps(f, g, cube);
+    let keeps_swapped = mgr.and_exists_keeps(g, f, cube);
+    let from_left_entries = mgr.and_exists(f, g, cube);
+    mgr.clear_caches();
+    let product = mgr.and_exists(f, g, cube);
+    prop_assert_eq!(from_left_entries, product, "and-exists entry left behind");
+    let expect = product == mgr.exists_cube(f, cube);
+    prop_assert_eq!(keeps, expect, "and_exists_keeps({:?}, {:?})", f, g);
+    prop_assert_eq!(keeps_swapped, expect, "and_exists_keeps({:?}, {:?})", g, f);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn bdd_agrees_with_interpreter(expr in arb_expr()) {
@@ -120,6 +142,40 @@ proptest! {
         let u = mgr.forall(f, &[Var(var)]);
         let and = mgr.and(f0, f1);
         prop_assert_eq!(u, and, "∀x.f = f|x=0 ∧ f|x=1");
+    }
+
+    #[test]
+    fn and_exists_keeps_agrees_with_the_relational_product(
+        e1 in arb_expr(),
+        e2 in arb_expr(),
+        quantified in 1u32..1 << NVARS,
+        keys in prop::collection::vec(any::<u64>(), NVARS as usize),
+    ) {
+        // A random order interleaves the quantified variables with the
+        // others, the way outputs sit among inputs in a BDD_for_CF.
+        let mut order: Vec<Var> = (0..NVARS).map(Var).collect();
+        order.sort_by_key(|v| keys[v.0 as usize]);
+        let mut mgr = BddManager::new(NVARS as usize);
+        mgr.set_order(&order);
+        let lits: Vec<(Var, bool)> = (0..NVARS)
+            .filter(|i| quantified >> i & 1 == 1)
+            .map(|i| (Var(i), true))
+            .collect();
+        let cube = mgr.cube(&lits);
+        let f = e1.build(&mut mgr);
+        let g = e2.build(&mut mgr);
+        // Equalize the projections: f' = f·∃g and g' = g·∃f.
+        let live_f = mgr.exists_cube(f, cube);
+        let live_g = mgr.exists_cube(g, cube);
+        let f = mgr.and(f, live_g);
+        let g = mgr.and(g, live_f);
+        check_keeps(&mut mgr, f, g, cube)?;
+        check_keeps(&mut mgr, f, f, cube)?;
+        // A constant operand: TRUE against f' made fully live.
+        let live = mgr.exists_cube(f, cube);
+        let dead = mgr.not(live);
+        let full = mgr.or(f, dead);
+        check_keeps(&mut mgr, full, TRUE, cube)?;
     }
 
     #[test]

@@ -14,26 +14,22 @@
 
 use bddcf_bdd::ReorderCost;
 use bddcf_core::partition::bipartition;
-use bddcf_core::{Alg33Options, Cf};
+use bddcf_core::Cf;
 use bddcf_funcs::{build_isf_pieces, Benchmark};
 use std::time::{Duration, Instant};
 
-/// Knobs for [`measure_benchmark`].
+/// Knobs for [`measure_benchmark`]. Algorithm 3.3 always runs with its
+/// default options ([`Cf::reduce_alg33_default`]).
 #[derive(Clone, Debug)]
 pub struct PipelineOptions {
     /// Sifting passes over each half with the sum-of-widths cost (0
     /// disables reordering).
     pub sift_passes: usize,
-    /// Algorithm 3.3 tuning.
-    pub alg33: Alg33Options,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
-        PipelineOptions {
-            sift_passes: 2,
-            alg33: Alg33Options::default(),
-        }
+        PipelineOptions { sift_passes: 2 }
     }
 }
 
@@ -183,7 +179,7 @@ pub fn measure_benchmark(benchmark: &dyn Benchmark, options: &PipelineOptions) -
 
         let mut cf33 = cf;
         let t33 = Instant::now();
-        cf33.reduce_alg33(&options.alg33);
+        cf33.reduce_alg33_default();
         let time_alg33 = t33.elapsed();
         audit(&mut cf33, "after Algorithm 3.3");
 
@@ -244,13 +240,7 @@ mod tests {
     #[test]
     fn pipeline_on_a_small_converter() {
         let conv = RadixConverter::new(3, 3);
-        let m = measure_benchmark(
-            &conv,
-            &PipelineOptions {
-                sift_passes: 1,
-                ..PipelineOptions::default()
-            },
-        );
+        let m = measure_benchmark(&conv, &PipelineOptions { sift_passes: 1 });
         assert_eq!(m.inputs, 6);
         assert_eq!(m.halves.len(), 2);
         for h in &m.halves {
@@ -264,13 +254,7 @@ mod tests {
     #[test]
     fn pipeline_without_sifting() {
         let conv = RadixConverter::new(5, 2);
-        let m = measure_benchmark(
-            &conv,
-            &PipelineOptions {
-                sift_passes: 0,
-                ..PipelineOptions::default()
-            },
-        );
+        let m = measure_benchmark(&conv, &PipelineOptions { sift_passes: 0 });
         assert!(m.time_sift < Duration::from_millis(1), "sifting skipped");
         assert!(m.halves[0].isf.max_width >= 1);
     }

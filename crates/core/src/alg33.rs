@@ -21,11 +21,17 @@
 //!   incrementally and re-validated; members that would break joint
 //!   liveness stay unmerged. This keeps the reduction sound unconditionally.
 //! * *Scalability.* Building the full pairwise graph costs
-//!   `O(W²)` BDD operations per cut. Columns are first bucketed by their
-//!   live set (merging across different live sets is never sound), and
-//!   buckets larger than [`Alg33Options::max_pairwise_group`] switch to a
-//!   first-fit greedy cover that only tests each column against existing
-//!   clique products.
+//!   `O(W²)` compatibility tests per cut. Columns are first bucketed by
+//!   their live set (merging across different live sets is never sound),
+//!   and buckets larger than [`Alg33Options::max_pairwise_group`] switch to
+//!   a first-fit greedy cover that only tests each column against existing
+//!   clique products. Every column of a bucket and every clique product
+//!   has the bucket's live set, so each test is one
+//!   [`BddManager::try_and_exists_keeps`] call, without comparing live
+//!   sets first. That call stops at the first cofactor pair that loses a
+//!   live input (see [`crate::compat`]). Nearly every test fails, and a
+//!   failing one costs a path through the two operands rather than their
+//!   whole relational product.
 
 use crate::cf::Cf;
 use crate::compat::CompatCtx;
@@ -260,6 +266,7 @@ fn try_reduce_cut(
     let mut bucket_list: Vec<(NodeId, Vec<NodeId>)> = buckets.into_iter().collect();
     bucket_list.sort_unstable_by_key(|(live, _)| *live);
 
+    let ycube = ctx.ycube();
     let mut mapping: FastMap<NodeId, NodeId> = FastMap::default();
     for (_, group) in bucket_list {
         if group.len() < 2 {
@@ -267,10 +274,10 @@ fn try_reduce_cut(
         }
         let cliques = match mode {
             CutCover::PerOptions if group.len() <= options.max_pairwise_group => {
-                cover_by_pairwise_graph(mgr, ctx, &group, options.heuristic)?
+                cover_by_pairwise_graph(mgr, ycube, &group, options.heuristic)?
             }
-            CutCover::PerOptions => cover_first_fit(mgr, ctx, &group, options.first_fit_tries)?,
-            CutCover::PairMergeOnly => cover_first_fit(mgr, ctx, &group, 1)?,
+            CutCover::PerOptions => cover_first_fit(mgr, ycube, &group, options.first_fit_tries)?,
+            CutCover::PairMergeOnly => cover_first_fit(mgr, ycube, &group, 1)?,
         };
         for (product, members) in cliques {
             if members.len() < 2 {
@@ -289,18 +296,35 @@ fn try_reduce_cut(
     rebuild_above(mgr, root, cut, &mapping, &mut memo)
 }
 
+/// Merges `column` into `product` if their product keeps the live set
+/// both share (they come from one live-set bucket, so it is the only
+/// compatibility condition left; see [`crate::compat`]).
+fn try_merge_in_bucket(
+    mgr: &mut BddManager,
+    ycube: NodeId,
+    product: NodeId,
+    column: NodeId,
+) -> Result<Option<NodeId>, BudgetError> {
+    // The column goes first: the test starts from its live set, which
+    // bucketing already computed.
+    if !mgr.try_and_exists_keeps(column, product, ycube)? {
+        return Ok(None);
+    }
+    Ok(Some(mgr.try_and(product, column)?))
+}
+
 /// Full pairwise graph + Algorithm 3.2, then incremental re-validated
 /// multiplication of each clique. Returns `(product, members)` pairs.
 fn cover_by_pairwise_graph(
     mgr: &mut BddManager,
-    ctx: &CompatCtx,
+    ycube: NodeId,
     group: &[NodeId],
     heuristic: CoverHeuristic,
 ) -> Result<Vec<(NodeId, Vec<NodeId>)>, BudgetError> {
     let mut graph = CompatGraph::new(group.len());
     for i in 0..group.len() {
         for j in i + 1..group.len() {
-            if ctx.try_compatible(mgr, group[i], group[j])? {
+            if mgr.try_and_exists_keeps(group[i], group[j], ycube)? {
                 graph.add_edge(i, j);
             }
         }
@@ -311,7 +335,7 @@ fn cover_by_pairwise_graph(
         let mut members = vec![group[clique[0]]];
         let mut spilled = Vec::new();
         for &i in &clique[1..] {
-            match ctx.try_extend(mgr, product, group[i])? {
+            match try_merge_in_bucket(mgr, ycube, product, group[i])? {
                 Some(p) => {
                     product = p;
                     members.push(group[i]);
@@ -332,7 +356,7 @@ fn cover_by_pairwise_graph(
 /// up to `tries` existing clique products.
 fn cover_first_fit(
     mgr: &mut BddManager,
-    ctx: &CompatCtx,
+    ycube: NodeId,
     group: &[NodeId],
     tries: usize,
 ) -> Result<Vec<(NodeId, Vec<NodeId>)>, BudgetError> {
@@ -340,7 +364,7 @@ fn cover_first_fit(
     for &col in group {
         let mut placed = false;
         for (product, members) in cliques.iter_mut().take(tries) {
-            if let Some(p) = ctx.try_extend(mgr, *product, col)? {
+            if let Some(p) = try_merge_in_bucket(mgr, ycube, *product, col)? {
                 *product = p;
                 members.push(col);
                 placed = true;

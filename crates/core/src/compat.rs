@@ -30,6 +30,31 @@
 //! unchanged, every ancestor's live set is unchanged, so the root invariant
 //! `∃Y.χ = 1` survives every merge.
 //!
+//! # Deciding compatibility
+//!
+//! Once the live sets are known to be equal, `a ∼ b` reduces to
+//! `∃Y.(a·b) = ∃Y.a`, and almost every pair a compatibility graph tests
+//! fails it. [`BddManager::try_and_exists_keeps`] therefore decides the
+//! equality without building `∃Y.(a·b)` when it can. It walks both
+//! operands from their top variable, carrying the shared live set `L`:
+//!
+//! * On an *input* variable `x` it splits both operands and `L`. Input
+//!   cofactors commute with `∃Y` (`∃Y.(a|x) = (∃Y.a)|x`), so each cofactor
+//!   pair again has equal live sets, `L|x` and `L|x̄`. The pair is
+//!   compatible iff both cofactor pairs are, and the walk stops at the
+//!   first one that is not.
+//! * On an *output* variable `∃Y` ORs the two cofactor pairs' products
+//!   together, so no single pair decides and the walk falls back to the
+//!   relational product `∃Y.(a·b)` and compares it with `L`.
+//! * Equal operands, and a constant operand, are compatible at once: with
+//!   equal live sets, a FALSE operand forces the other to FALSE and a TRUE
+//!   one makes both live sets TRUE.
+//!
+//! A pair proved compatible leaves `∃Y.(a·b) = L` in the manager's
+//! and-exists cache. That is a valid entry of that cache, so later tests
+//! and relational products reuse it. A failed pair leaves nothing, since
+//! its product was never built.
+//!
 //! # Don't-care detection
 //!
 //! `χᵥ` (viewed from level `l`) has a don't care iff some live input admits
@@ -65,18 +90,15 @@ impl CompatCtx {
         mgr.try_exists_cube(f, self.ycube)
     }
 
-    /// The merge-compatibility relation `a ∼ b` (see module docs).
-    ///
-    /// Uses the fused relational product `∃Y.(a·b)` so that incompatible
-    /// pairs — the common case when building compatibility graphs — never
-    /// materialize the full conjunction.
+    /// The output-variable cube `Y`.
+    pub fn ycube(&self) -> NodeId {
+        self.ycube
+    }
+
+    /// The merge-compatibility relation `a ∼ b` (see module docs): equal
+    /// live sets, then [`BddManager::and_exists_keeps`].
     pub fn compatible(&self, mgr: &mut BddManager, a: NodeId, b: NodeId) -> bool {
-        let live_a = self.live(mgr, a);
-        let live_b = self.live(mgr, b);
-        if live_a != live_b {
-            return false;
-        }
-        mgr.and_exists(a, b, self.ycube) == live_a
+        self.live(mgr, a) == self.live(mgr, b) && mgr.and_exists_keeps(a, b, self.ycube)
     }
 
     /// Budgeted [`compatible`](Self::compatible).
@@ -86,26 +108,14 @@ impl CompatCtx {
         a: NodeId,
         b: NodeId,
     ) -> Result<bool, BudgetError> {
-        let live_a = self.try_live(mgr, a)?;
-        let live_b = self.try_live(mgr, b)?;
-        if live_a != live_b {
-            return Ok(false);
-        }
-        Ok(mgr.try_and_exists(a, b, self.ycube)? == live_a)
+        Ok(self.try_live(mgr, a)? == self.try_live(mgr, b)?
+            && mgr.try_and_exists_keeps(a, b, self.ycube)?)
     }
 
     /// Merges two compatible functions into their product, or returns
     /// `None` if they are incompatible.
     pub fn merge(&self, mgr: &mut BddManager, a: NodeId, b: NodeId) -> Option<NodeId> {
-        let live_a = self.live(mgr, a);
-        let live_b = self.live(mgr, b);
-        if live_a != live_b {
-            return None;
-        }
-        if mgr.and_exists(a, b, self.ycube) != live_a {
-            return None;
-        }
-        Some(mgr.and(a, b))
+        self.compatible(mgr, a, b).then(|| mgr.and(a, b))
     }
 
     /// Budgeted [`merge`](Self::merge): `Ok(None)` means incompatible,
@@ -120,26 +130,6 @@ impl CompatCtx {
             return Ok(None);
         }
         Ok(Some(mgr.try_and(a, b)?))
-    }
-
-    /// Attempts to extend an existing merge product by one more member,
-    /// keeping the *joint* liveness intact. This is the incremental check
-    /// Algorithm 3.3 needs when a clique of pairwise-compatible columns is
-    /// multiplied out: pairwise compatibility does not guarantee a
-    /// non-empty joint intersection for multi-output columns, so each
-    /// extension is re-validated.
-    pub fn extend(&self, mgr: &mut BddManager, product: NodeId, next: NodeId) -> Option<NodeId> {
-        self.merge(mgr, product, next)
-    }
-
-    /// Budgeted [`extend`](Self::extend).
-    pub fn try_extend(
-        &self,
-        mgr: &mut BddManager,
-        product: NodeId,
-        next: NodeId,
-    ) -> Result<Option<NodeId>, BudgetError> {
-        self.try_merge(mgr, product, next)
     }
 
     /// Does the sub-ISF of `f`, viewed from just above `view_level`, contain
@@ -307,7 +297,7 @@ mod tests {
         assert!(ctx.compatible(mgr, b, c));
         let ab = ctx.merge(mgr, a, b).expect("pairwise fine");
         assert!(
-            ctx.extend(mgr, ab, c).is_none(),
+            ctx.merge(mgr, ab, c).is_none(),
             "joint intersection is empty; the extension must be rejected"
         );
     }

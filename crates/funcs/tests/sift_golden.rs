@@ -1,14 +1,18 @@
-//! Quality pin for sifting: a faster sifter must make the same decisions.
+//! Quality pin for sifting and the reductions after it: a faster sifter
+//! or compatibility test must make the same decisions.
 //!
 //! `optimize_order(SumOfWidths, 2)` on every small-suite benchmark and on
 //! two seeded 50-word lists must reach exactly the recorded order and
 //! width profile, and the DC=0/DC=1 completions legalized in that order
-//! must keep the recorded maximum width and node count. A speed-up must
-//! leave every figure as it is; a change to one is a change of sifting
+//! must keep the recorded maximum width and node count. Algorithm 3.1 and
+//! Algorithm 3.3 (with the default options, and with first-fit on every
+//! live-set bucket) run on forks of the sifted χ and must keep their
+//! recorded maximum width, node count and merge count. A speed-up must
+//! leave every figure as it is; a change to one is a change of reduction
 //! quality and has to be made on purpose.
 
 use bddcf_bdd::ReorderCost;
-use bddcf_core::Cf;
+use bddcf_core::{Alg33Options, Cf};
 use bddcf_funcs::words::synthetic_words;
 use bddcf_funcs::{small_benchmarks, Benchmark, WordList};
 
@@ -22,6 +26,14 @@ struct Golden {
     dc0: (usize, usize),
     /// (max width, nodes) of the DC=1 completion.
     dc1: (usize, usize),
+    /// (max width, nodes) after Algorithm 3.1.
+    alg31: (usize, usize),
+    /// (max width, nodes, columns merged) after Algorithm 3.3 with
+    /// `Alg33Options::default()`.
+    alg33: (usize, usize, usize),
+    /// The same after Algorithm 3.3 with `max_pairwise_group: 0`, which
+    /// covers every live-set bucket first-fit.
+    alg33_first_fit: (usize, usize, usize),
 }
 
 const GOLDEN: [Golden; 7] = [
@@ -31,6 +43,9 @@ const GOLDEN: [Golden; 7] = [
         cuts: &[1, 2, 4, 7, 10, 16, 9, 5, 3, 1],
         dc0: (15, 50),
         dc1: (16, 51),
+        alg31: (15, 43),
+        alg33: (15, 48, 3),
+        alg33_first_fit: (15, 48, 3),
     },
     Golden {
         label: "2-digit 3-nary to binary",
@@ -38,6 +53,9 @@ const GOLDEN: [Golden; 7] = [
         cuts: &[1, 2, 4, 7, 10, 6, 4, 3, 1],
         dc0: (9, 31),
         dc1: (10, 34),
+        alg31: (9, 27),
+        alg33: (9, 29, 2),
+        alg33_first_fit: (9, 29, 2),
     },
     Golden {
         label: "1-digit decimal adder",
@@ -45,6 +63,9 @@ const GOLDEN: [Golden; 7] = [
         cuts: &[1, 2, 3, 3, 6, 8, 8, 15, 15, 11, 6, 4, 3, 2, 2, 2, 1],
         dc0: (25, 119),
         dc1: (25, 127),
+        alg31: (15, 62),
+        alg33: (11, 67, 12),
+        alg33_first_fit: (11, 66, 12),
     },
     Golden {
         label: "1-digit decimal multiplier",
@@ -52,6 +73,9 @@ const GOLDEN: [Golden; 7] = [
         cuts: &[1, 2, 4, 6, 11, 20, 39, 53, 38, 28, 18, 12, 7, 5, 4, 3, 1],
         dc0: (51, 231),
         dc1: (53, 241),
+        alg31: (51, 197),
+        alg33: (43, 220, 13),
+        alg33_first_fit: (43, 220, 13),
     },
     Golden {
         label: "12 words",
@@ -65,6 +89,9 @@ const GOLDEN: [Golden; 7] = [
         ],
         dc0: (13, 431),
         dc1: (13, 432),
+        alg31: (22, 290),
+        alg33: (14, 300, 63),
+        alg33_first_fit: (15, 301, 60),
     },
     Golden {
         label: "50 words seed 1",
@@ -78,6 +105,9 @@ const GOLDEN: [Golden; 7] = [
         ],
         dc0: (51, 1665),
         dc1: (51, 1668),
+        alg31: (71, 1103),
+        alg33: (59, 1194, 165),
+        alg33_first_fit: (59, 1192, 162),
     },
     Golden {
         label: "50 words seed 2",
@@ -92,6 +122,9 @@ const GOLDEN: [Golden; 7] = [
         ],
         dc0: (51, 1784),
         dc1: (51, 1787),
+        alg31: (66, 1146),
+        alg33: (62, 1226, 167),
+        alg33_first_fit: (62, 1231, 169),
     },
 ];
 
@@ -115,6 +148,33 @@ fn check(benchmark: &dyn Benchmark, golden: &Golden) {
             expect,
             "{label}: DC={} completion (max width, nodes)",
             u8::from(fill)
+        );
+    }
+    let mut alg31 = cf.clone();
+    alg31.reduce_alg31();
+    assert_eq!(
+        (alg31.max_width(), alg31.node_count()),
+        golden.alg31,
+        "{label}: Algorithm 3.1 (max width, nodes)"
+    );
+    let first_fit = Alg33Options {
+        max_pairwise_group: 0,
+        ..Alg33Options::default()
+    };
+    for (options, expect) in [
+        (Alg33Options::default(), golden.alg33),
+        (first_fit, golden.alg33_first_fit),
+    ] {
+        let stats = cf.clone().reduce_alg33(&options);
+        assert_eq!(
+            (
+                stats.max_width_after,
+                stats.nodes_after,
+                stats.columns_merged
+            ),
+            expect,
+            "{label}: Algorithm 3.3 with max_pairwise_group {} (max width, nodes, columns merged)",
+            options.max_pairwise_group
         );
     }
 }

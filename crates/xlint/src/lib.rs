@@ -125,6 +125,7 @@ pub(crate) const INFALLIBLE_OPS: &[&str] = &[
     "exists_cube",
     "forall",
     "and_exists",
+    "and_exists_keeps",
     "restrict_care",
 ];
 

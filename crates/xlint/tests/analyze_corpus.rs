@@ -1,5 +1,5 @@
 //! Seeded-defect corpus for the XL1xx dataflow and XL2xx concurrency
-//! passes.
+//! passes, and for XL001 on the newest budgeted manager op.
 //!
 //! Each pass gets a pair of fixtures: a *buggy* source that must produce
 //! exactly the expected finding(s), and the same source with the defect
@@ -10,9 +10,9 @@
 
 use bddcf_xlint::analyze::{analyze_source, analyze_workspace};
 use bddcf_xlint::{
-    Finding, XL101_PROVENANCE, XL102_GC_ESCAPE, XL103_BUDGET_POLL, XL104_PANIC_SURFACE,
-    XL105_CONCURRENCY, XL106_UNDOC_UNSAFE, XL201_LOCK_ORDER, XL202_BLOCKING_UNDER_GUARD,
-    XL203_CONDVAR, XL204_ATOMICS, XL205_SPAWN_CAPTURE,
+    Finding, XL001_INFALLIBLE_OP, XL101_PROVENANCE, XL102_GC_ESCAPE, XL103_BUDGET_POLL,
+    XL104_PANIC_SURFACE, XL105_CONCURRENCY, XL106_UNDOC_UNSAFE, XL201_LOCK_ORDER,
+    XL202_BLOCKING_UNDER_GUARD, XL203_CONDVAR, XL204_ATOMICS, XL205_SPAWN_CAPTURE,
 };
 use std::path::Path;
 
@@ -30,6 +30,30 @@ fn expect(rel: &str, source: &str, expected: &[(&str, usize)]) {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn xl001_flags_the_bare_compatibility_op_and_accepts_the_fix() {
+    // alg33.rs governs its `try_*` functions: the infallible op ignores
+    // the budget and the poison gate.
+    let buggy = "\
+fn try_edge(mgr: &mut BddManager, a: NodeId, b: NodeId, ycube: NodeId) -> Result<bool, Error> {
+    Ok(mgr.and_exists_keeps(a, b, ycube))
+}
+";
+    expect(
+        "crates/core/src/alg33.rs",
+        buggy,
+        &[(XL001_INFALLIBLE_OP, 2)],
+    );
+
+    // Reverted: the budgeted twin surfaces the budget error.
+    let clean = "\
+fn try_edge(mgr: &mut BddManager, a: NodeId, b: NodeId, ycube: NodeId) -> Result<bool, Error> {
+    mgr.try_and_exists_keeps(a, b, ycube)
+}
+";
+    expect("crates/core/src/alg33.rs", clean, &[]);
 }
 
 #[test]
