@@ -30,8 +30,7 @@
 //!
 //! Version 1 — identical except the `unique_capacity_log2` word is absent
 //! — is still read (the geometry then defaults to the deterministic
-//! post-GC shape); [`BddManager::snapshot_bytes_v1`] keeps the legacy
-//! writer available for migration tests.
+//! post-GC shape), but no longer written.
 //!
 //! Arena order guarantees every child precedes its parent, so the reader
 //! validates structure (variable ranges, redundancy, level order,
@@ -210,27 +209,14 @@ impl BddManager {
     /// Serializes this manager into the versioned snapshot format described
     /// in the [module docs](self).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        self.snapshot_bytes_versioned(SNAPSHOT_VERSION)
-    }
-
-    /// Serializes this manager as a **version 1** snapshot (no geometry
-    /// word). Kept so migration tests can fabricate genuine legacy bytes;
-    /// new code should use [`snapshot_bytes`](Self::snapshot_bytes).
-    pub fn snapshot_bytes_v1(&self) -> Vec<u8> {
-        self.snapshot_bytes_versioned(SNAPSHOT_VERSION_V1)
-    }
-
-    fn snapshot_bytes_versioned(&self, version: u32) -> Vec<u8> {
         let interior: Vec<(u32, u32, u32)> = self.raw_nodes().collect();
         let mut buf = Vec::with_capacity(36 + 4 * self.num_vars() + 12 * interior.len());
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u32(&mut buf, version);
+        put_u32(&mut buf, SNAPSHOT_VERSION);
         put_u32(&mut buf, u32::from(self.is_poisoned()));
         put_u32(&mut buf, self.num_vars() as u32);
         put_u32(&mut buf, interior.len() as u32);
-        if version >= 2 {
-            put_u32(&mut buf, self.unique_capacity_log2());
-        }
+        put_u32(&mut buf, self.unique_capacity_log2());
         for &v in self.order() {
             put_u32(&mut buf, v.0);
         }
@@ -446,10 +432,20 @@ mod tests {
         ));
     }
 
+    /// `sample_manager()` as the retired version 1 writer serialized it.
+    const SAMPLE_V1: [u8; 156] = [
+        66, 68, 68, 67, 70, 83, 78, 80, 1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0,
+        0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+        0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+        2, 0, 0, 0, 5, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 7, 0, 0, 0,
+        21, 48, 115, 137, 125, 150, 109, 14,
+    ];
+
     #[test]
     fn v1_snapshots_still_load_and_reserialize_as_v2() {
         let mgr = sample_manager();
-        let v1 = mgr.snapshot_bytes_v1();
+        let v1 = SAMPLE_V1;
         assert_eq!(u32::from_le_bytes([v1[8], v1[9], v1[10], v1[11]]), 1);
         let back = BddManager::from_snapshot_bytes(&v1).expect("v1 load");
         assert_eq!(back.arena_len(), mgr.arena_len());

@@ -11,7 +11,7 @@
 //!   working.
 //! * [`FaultVfs`] — a deterministic in-memory filesystem that injects
 //!   seeded faults (ENOSPC/EIO/short writes on the Nth write, matching
-//!   the `bddcf loadtest` splitmix64 seed discipline), records every
+//!   the `bddcf chaos` splitmix64 seed discipline), records every
 //!   mutating call in an event journal, and can replay any *crash prefix*
 //!   of that journal into a new filesystem state.
 //!
@@ -32,7 +32,7 @@
 //!
 //! With [`FaultPlan::ignore_sync_dir`] the replay treats `sync_dir` as a
 //! lie — exactly what a caller that forgot the directory fsync would
-//! experience — which is how `bddcf diskchaos` proves the fsync actually
+//! experience — which is how `bddcf chaos` proves the fsync actually
 //! matters.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 use crate::snapshot::fnv1a64;
 
 /// The splitmix64 mixer, the workspace-wide seed discipline (shared with
-/// `bddcf loadtest` and `bddcf diskchaos`).
+/// `bddcf chaos`).
 pub fn splitmix64(x: u64) -> u64 {
     let x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;

@@ -52,9 +52,7 @@ pub use cascade::{
     check_cascade, check_cascade_against_oracle, check_multi_cascade_against_oracle,
 };
 pub use cf::{check_cascade_ready, check_cf};
-pub use inject::{
-    run_injection, FaultKind, FaultOutcome, FaultResult, InjectionOptions, InjectionOutcome,
-};
+pub use inject::inject_budget_faults;
 pub use lint::{lint_benchmark, lint_cascade_artifacts, BenchmarkLint, LintOptions};
 pub use manager::check_manager;
 pub use netlist::{

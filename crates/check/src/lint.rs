@@ -31,19 +31,11 @@ use bddcf_io::{
 pub struct LintOptions {
     /// Iteration cap for the reduction fixpoint.
     pub max_iterations: usize,
-    /// Algorithm 3.3 tuning.
-    pub alg33: Alg33Options,
-    /// Cell constraints for synthesis.
-    pub cascade: CascadeOptions,
 }
 
 impl Default for LintOptions {
     fn default() -> Self {
-        LintOptions {
-            max_iterations: 4,
-            alg33: Alg33Options::default(),
-            cascade: CascadeOptions::default(),
-        }
+        LintOptions { max_iterations: 4 }
     }
 }
 
@@ -89,7 +81,8 @@ fn first_diff_line(a: &str, b: &str) -> usize {
 
 /// Builds, reduces, and synthesizes `benchmark`, then runs the full
 /// artifact-lint battery ([`lint_cascade_artifacts`]) over every cascade
-/// of the partitioned realization.
+/// of the partitioned realization. Algorithm 3.3 and synthesis run with
+/// their default options.
 pub fn lint_benchmark(benchmark: &dyn Benchmark, options: &LintOptions) -> BenchmarkLint {
     let mut report = LintReport::new();
     let (mgr, layout, isf) = build_isf_pieces(benchmark);
@@ -103,11 +96,10 @@ pub fn lint_benchmark(benchmark: &dyn Benchmark, options: &LintOptions) -> Bench
     } else {
         vec![0..m.div_ceil(2), m.div_ceil(2)..m]
     };
-    let alg33 = options.alg33.clone();
-    let max_iterations = options.max_iterations;
+    let (alg33, cascade_options) = (Alg33Options::default(), CascadeOptions::default());
     let mut artifacts = 0usize;
-    match try_synthesize_partitioned(&mgr, &layout, &isf, &initial, &options.cascade, |part| {
-        part.reduce_to_fixpoint(&alg33, max_iterations);
+    match try_synthesize_partitioned(&mgr, &layout, &isf, &initial, &cascade_options, |part| {
+        part.reduce_to_fixpoint(&alg33, options.max_iterations);
     }) {
         Ok(multi) => {
             for (i, (cascade, part)) in multi.cascades.iter().zip(&multi.parts).enumerate() {

@@ -21,10 +21,6 @@ pub struct CheckOptions {
     pub samples: u64,
     /// Iteration cap for the reduction fixpoint.
     pub max_iterations: usize,
-    /// Algorithm 3.3 tuning.
-    pub alg33: Alg33Options,
-    /// Cell constraints for synthesis.
-    pub cascade: CascadeOptions,
 }
 
 impl Default for CheckOptions {
@@ -32,8 +28,6 @@ impl Default for CheckOptions {
         CheckOptions {
             samples: 128,
             max_iterations: 4,
-            alg33: Alg33Options::default(),
-            cascade: CascadeOptions::default(),
         }
     }
 }
@@ -64,7 +58,10 @@ pub struct BenchmarkCheck {
 /// * after **synthesis**: per-partition refinement and cascade lints
 ///   (Theorem-3.1 rails, sampled cell-table semantics), plus the sampled
 ///   full-word check against the benchmark's own oracle.
+///
+/// Algorithm 3.3 and synthesis run with their default options.
 pub fn check_benchmark(benchmark: &dyn Benchmark, options: &CheckOptions) -> BenchmarkCheck {
+    let alg33 = Alg33Options::default();
     let mut report = CheckReport::new();
     let (mgr, layout, isf) = build_isf_pieces(benchmark);
 
@@ -75,7 +72,7 @@ pub fn check_benchmark(benchmark: &dyn Benchmark, options: &CheckOptions) -> Ben
     report.absorb("build", check_cf(&mut cf));
 
     // Phase 2: reduction fixpoint.
-    cf.reduce_to_fixpoint(&options.alg33, options.max_iterations);
+    cf.reduce_to_fixpoint(&alg33, options.max_iterations);
     let width_after = cf.max_width();
     report.absorb("fixpoint", check_manager(cf.manager()));
     report.absorb("fixpoint", check_cf(&mut cf));
@@ -90,11 +87,10 @@ pub fn check_benchmark(benchmark: &dyn Benchmark, options: &CheckOptions) -> Ben
     } else {
         vec![0..m.div_ceil(2), m.div_ceil(2)..m]
     };
-    let alg33 = options.alg33.clone();
-    let max_iterations = options.max_iterations;
+    let cascade_options = CascadeOptions::default();
     let (num_cascades, num_cells) =
-        match try_synthesize_partitioned(&mgr, &layout, &isf, &initial, &options.cascade, |part| {
-            part.reduce_to_fixpoint(&alg33, max_iterations);
+        match try_synthesize_partitioned(&mgr, &layout, &isf, &initial, &cascade_options, |part| {
+            part.reduce_to_fixpoint(&alg33, options.max_iterations);
         }) {
             Ok(multi) => {
                 for (i, (cascade, part)) in multi.cascades.iter().zip(&multi.parts).enumerate() {

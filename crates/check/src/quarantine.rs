@@ -1,7 +1,7 @@
 //! Panic isolation for batch workloads.
 //!
 //! A bug in one benchmark must not take down a whole `bddcf check` /
-//! `bddcf inject` / bench batch. This module provides the containment
+//! `bddcf chaos` / bench batch. This module provides the containment
 //! pieces:
 //!
 //! * [`run_quarantined`] wraps one benchmark's work in

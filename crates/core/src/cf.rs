@@ -477,7 +477,7 @@ impl Cf {
     /// manager's variables. Deeper semantic checks (Def. 2.4 invariants,
     /// refinement) happen downstream: under the `check` feature the
     /// fixpoint loop asserts them on the restored state before resuming,
-    /// and `bddcf diskchaos` requires every resumed run's artifacts to be
+    /// and `bddcf chaos` requires every resumed run's artifacts to be
     /// byte-identical to an uninterrupted run's, then audits them.
     pub(crate) fn from_checkpoint_parts(
         mgr: BddManager,

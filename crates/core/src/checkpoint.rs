@@ -23,8 +23,8 @@
 //! *bit-identical* to its own serialized round trip: the resumed run and an
 //! uninterrupted run then execute the same deterministic operations on the
 //! same arenas, so their final cascades agree byte for byte. `bddcf
-//! diskchaos` asserts exactly that at every storage-event crash prefix of
-//! its reductions, over a fault-injecting VFS.
+//! chaos` asserts exactly that at every storage-event crash prefix of its
+//! reductions, over a fault-injecting VFS.
 //!
 //! # Wire format (version 1)
 //!

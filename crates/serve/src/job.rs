@@ -126,8 +126,9 @@ pub struct ExecOutcome {
 ///   at every resumable boundary and a fired cancel token *parks* the job
 ///   ([`ExecError::Parked`]) instead of degrading.
 /// * `resume` — look for the latest checkpoint in `ckpt_dir` first and
-///   continue from it; the PR-4 guarantee makes the artifacts
-///   byte-identical to an uninterrupted run.
+///   continue from it under `budget`; checkpoint resume makes the
+///   artifacts byte-identical to an uninterrupted run. A step-limited
+///   spec ignores it and runs from scratch.
 pub fn execute(
     spec: &SynthSpec,
     budget: Option<Budget>,
@@ -172,24 +173,28 @@ pub fn execute_vfs(
             }
         };
 
+    // A resumed job must answer what a fresh run of its spec answers. A
+    // checkpoint does not record the steps already charged, so only a
+    // fresh run honours a step limit: a step-limited spec starts over.
+    let resume = resume && spec.step_limit.is_none();
     let mut cf = match (resume, ckpt_dir) {
         (true, Some(dir)) => match latest_valid_checkpoint_vfs(vfs.as_ref(), dir) {
             Err(_) => fallback(&mut report, &mut storage_degraded)?,
-            Ok(Some((_path, loaded))) => {
+            Ok(Some((_path, mut loaded))) => {
                 match Checkpointer::with_vfs(Arc::clone(vfs), dir) {
                     Err(_) => fallback(&mut report, &mut storage_degraded)?,
                     Ok(mut ck) => {
+                        // The checkpoint stores no budget: the request's node
+                        // shard, deadline and cancel token govern the resumed
+                        // reduction and then synthesis.
+                        if let Some(b) = budget.clone() {
+                            loaded.cf.manager_mut().set_budget(b);
+                        }
                         match loaded.resume(&options, spec.max_iter, &mut ck, true) {
-                            Ok((mut cf, resumed_report, stats)) => {
+                            Ok((cf, resumed_report, stats)) => {
                                 report = resumed_report;
                                 if stats.is_none() {
                                     return Err(ExecError::Parked);
-                                }
-                                // The checkpoint stores no budget; reinstall
-                                // the request's budget for the synthesis
-                                // stage.
-                                if let Some(b) = budget.clone() {
-                                    cf.manager_mut().set_budget(b);
                                 }
                                 cf
                             }
@@ -415,5 +420,40 @@ mod tests {
         let resumed = execute(&spec, None, Some(&dir), true).expect("resume");
         assert_eq!(resumed.result, baseline.result, "byte-identical recovery");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A resumed job answers what a fresh run of its spec answers. The
+    /// checkpoint does not record the steps already charged, so a parked
+    /// step-limited job must run again under its limit, not finish the
+    /// checkpointed reduction without one.
+    #[test]
+    fn a_parked_step_limited_job_resumes_to_its_fresh_result() {
+        use bddcf_bdd::CancelToken;
+
+        for (limit, cancel_at) in [(5, 2), (5, 3), (5, 4), (8, 3), (40, 20)] {
+            let dir = std::env::temp_dir().join(format!(
+                "bddcf-serve-job-limited-{}-{limit}-{cancel_at}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut spec = smoke_spec();
+            spec.step_limit = Some(limit);
+            let budget = Budget::default().with_step_limit(limit);
+            let fresh = execute(&spec, Some(budget.clone()), None, false).expect("fresh run");
+
+            // A shutdown parks the job at a checkpoint.
+            let killed = Budget::default()
+                .with_cancel(CancelToken::new())
+                .with_cancel_at_step(cancel_at);
+            match execute(&spec, Some(killed), Some(&dir), false) {
+                Err(ExecError::Parked) => {}
+                other => panic!("{limit}/{cancel_at}: expected a parked job, got {other:?}"),
+            }
+
+            let resumed = execute(&spec, Some(budget), Some(&dir), true).expect("resume");
+            assert_eq!(resumed.degraded, fresh.degraded, "{limit}/{cancel_at}");
+            assert_eq!(resumed.result, fresh.result, "{limit}/{cancel_at}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

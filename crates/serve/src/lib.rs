@@ -25,32 +25,30 @@
 //!   ([`server`]); long reductions checkpoint via the PR4 `BDDCFCKP`
 //!   format; a restarted daemon replays the spool and produces
 //!   byte-identical responses.
-//! * **Chaos harness** — [`loadtest`] drives a real daemon process with a
-//!   seeded mix of valid, malformed, oversized, and duplicate requests,
-//!   kills it mid-batch, restarts it, and proves no accepted request was
-//!   lost and every artifact passes the full audit stack.
 //! * **Storage-fault robustness** — every durable path runs over an
-//!   injectable [`Vfs`](bddcf_bdd::vfs::Vfs); [`diskchaos`] sweeps
-//!   power-loss crash prefixes and seeded write faults over checkpoint
-//!   sequences and the serve spool, and an ENOSPC disk degrades the
-//!   daemon to explicit non-durable serving instead of killing it.
+//!   injectable [`Vfs`](bddcf_bdd::vfs::Vfs), and an ENOSPC disk degrades
+//!   the daemon to explicit non-durable serving instead of killing it.
+//! * **Fault harness** — [`chaos`] injects budget faults into the governed
+//!   pipeline, sweeps power-loss crash prefixes and seeded write faults
+//!   over checkpoint sequences and the serve spool, and drives a real
+//!   daemon process with a seeded request mix, kills it mid-batch and
+//!   restarts it, proving that no accepted request was lost and every
+//!   artifact passes the full audit stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod diskchaos;
+pub mod chaos;
 pub mod job;
 pub mod json;
-pub mod loadtest;
 pub mod pool;
 pub mod protocol;
 pub mod server;
 
 pub use cache::ResponseCache;
-pub use diskchaos::{run_diskchaos, DiskChaosConfig, DiskChaosReport, ReductionSweep};
+pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use job::{build_cf, execute, execute_vfs, resolve_benchmark, ExecError, ExecOutcome};
-pub use loadtest::{run_loadtest, LoadTestConfig, LoadTestReport};
 pub use pool::{AdmitError, PoolConfig, WorkerPool};
 pub use protocol::{
     read_frame, write_frame, ErrorCode, FrameError, Request, RequestBody, Response, ShutdownMode,

@@ -54,7 +54,7 @@ pub struct PoolConfig {
     /// executing, so tests can fill the queue deterministically.
     pub hold: Option<Arc<AtomicBool>>,
     /// Filesystem used for checkpoint reads/writes (injectable so the
-    /// diskchaos harness can fault and crash the storage under real jobs).
+    /// fault harness can fault and crash the storage under real jobs).
     pub vfs: Arc<dyn Vfs>,
 }
 

@@ -79,7 +79,7 @@ pub struct ServerConfig {
     pub hold: Option<Arc<AtomicBool>>,
     /// Filesystem behind the spool, cache records, and checkpoints —
     /// [`StdVfs`] in production, a fault-injecting
-    /// [`FaultVfs`](bddcf_bdd::vfs::FaultVfs) under `bddcf diskchaos`.
+    /// [`FaultVfs`](bddcf_bdd::vfs::FaultVfs) under `bddcf chaos`.
     pub vfs: Arc<dyn Vfs>,
 }
 
@@ -307,7 +307,8 @@ impl Server {
     }
 }
 
-fn lock<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
+/// Locks `mutex`, recovering the guard of a poisoned one.
+pub(crate) fn lock<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -766,7 +767,7 @@ fn handle_shutdown(inner: &Arc<Inner>, id: &str, mode: ShutdownMode) -> Vec<u8> 
     .into_bytes()
 }
 
-// Re-exported for the loadtest client, which parses ad-hoc stats frames.
+/// The `status` of a control reply (a shutdown acknowledgement, say).
 pub(crate) fn parse_control_status(payload: &[u8]) -> Option<String> {
     let value = json::parse(payload).ok()?;
     value

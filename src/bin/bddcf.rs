@@ -6,10 +6,11 @@
 //! parses every value before it starts work, and a flag left out takes its
 //! default from the options type it sets.
 //!
-//! `check`, `lint`, and `inject` run each benchmark inside a panic
-//! quarantine: a panicking benchmark poisons only its own run, the batch
-//! continues, and the quarantined entries are listed (with the panic
-//! payload) at the end.
+//! `check` and `lint` run each benchmark inside a panic quarantine: a
+//! panicking benchmark poisons only its own run, the batch continues, and
+//! the quarantined entries are listed (with the panic payload) at the end.
+//! `chaos` quarantines each phase subject the same way and reports a
+//! panic as a violation.
 //!
 //! `stats`, `reduce`, and `cascade` accept resource-governor flags
 //! `--node-limit N`, `--step-limit N`, and `--time-budget SECONDS`. Under a
@@ -129,13 +130,6 @@ const COMMANDS: &[Command] = &[
         lint,
     ),
     (
-        "inject",
-        "[label-substring...] [--suite small|table4] [--seed N]
-[--points N] [--max-iter N] [--samples N]
-[--panic-probe] [--finding-probe]",
-        inject,
-    ),
-    (
         "resume",
         "<file.bddcfck> [--max-iter N] [--max-in K] [--max-out L]
 [--save out.cas] [--verilog out.v]",
@@ -148,16 +142,10 @@ const COMMANDS: &[Command] = &[
         serve,
     ),
     (
-        "loadtest",
-        "[--requests N] [--clients N] [--seed N] [--dir D]
-[--workers N] [--queue-cap N]",
-        loadtest,
-    ),
-    (
-        "diskchaos",
+        "chaos",
         "[label-substring...] [--suite small|table4] [--seed N]
-[--points N] [--requests N] [--drop-dir-sync]",
-        diskchaos,
+[--points N] [--requests N] [--dir D] [--drop-dir-sync]",
+        chaos,
     ),
 ];
 
@@ -197,32 +185,34 @@ RESOURCE GOVERNOR (stats | reduce | cascade):
   Reductions degrade gracefully under a budget (downgrades reported on
   stderr, result stays valid); hard exhaustion exits 3, no panic.
 
-SERVING (serve | loadtest):
+SERVING (serve):
   serve binds a TCP daemon speaking u32-length-prefixed JSON frames and
   prints `listening on ADDR`; shut it down over the protocol with a
   `shutdown` request (`drain` finishes the queue, `checkpoint` parks
-  in-flight jobs for a byte-identical resume on restart). loadtest spawns
-  `bddcf serve` as a child on a shared spool, fires a seeded request mix,
-  SIGKILLs and restarts the daemon mid-batch, and audits that no accepted
-  request was lost.
+  in-flight jobs for a byte-identical resume on restart).
 
-STORAGE FAULTS AND CRASH RECOVERY (diskchaos):
-  Runs checkpointed reductions (a built-in PLA, plus the registry
-  benchmarks named by label or --suite) and an in-process spooled daemon
-  over a fault-injecting VFS, then replays power-loss crash states at
-  --points storage-event prefixes per phase (0 = every event) plus seeded
-  ENOSPC/EIO/short-write faults. Every recovered reduction must resume
-  byte-identically. Exits 1 on any recovery-contract violation.
+FAULT HARNESS (chaos):
+  Three seeded phases over the selected benchmarks (default: --suite
+  small), exit 1 on any violation:
+  budget   --points node quotas, step quotas and cancellations per
+           benchmark; every survivor must pass the invariant layers
+  storage  power loss at every storage event of each checkpointed
+           reduction (plus a built-in PLA) and of a spooled serve
+           session, plus seeded ENOSPC/EIO/short writes; every recovery
+           must reproduce the uninterrupted run's artifacts
+  process  --requests seeded requests against `bddcf serve` as a child
+           on the spool --dir, SIGKILLed and restarted mid-batch; no
+           accepted request may be lost
   --drop-dir-sync makes every directory fsync a silent lie — the negative
-  control proving the harness checks rename durability.
+  control proving the storage phase checks rename durability.
 
 CRASH SAFETY:
   reduce --method fixpoint --checkpoint-dir D
       write an atomic checkpoint into D at every Algorithm 3.3 level
       boundary (resume later with `bddcf resume D/ckpt-NNNNNN.bddcfck`)
-  check | lint | inject --panic-probe
+  check | lint --panic-probe
       append a deliberately panicking benchmark to prove quarantine
-  check | lint | inject --finding-probe
+  check | lint --finding-probe
       append a benchmark that violates Definition 2.4 to prove the
       findings exit path (exit 1)
 
@@ -705,7 +695,7 @@ fn select_suite(args: &Args) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, String
     Ok(selected)
 }
 
-/// The shared loop of `check`, `lint`, and `inject`: runs `run` on each
+/// The shared loop of `check` and `lint`: runs `run` on each
 /// selected benchmark, plus any requested probe, inside a panic
 /// quarantine, lists the quarantined entries, and folds both into the
 /// verdict. `run` prints the benchmark's lines and returns whether it was
@@ -760,7 +750,6 @@ fn check(args: &Args) -> Result<Outcome, CliError> {
     let options = bddcf::check::CheckOptions {
         samples: args.or("--samples", defaults.samples)?,
         max_iterations: args.or("--max-iter", defaults.max_iterations)?,
-        ..defaults
     };
     quarantined_batch(
         args,
@@ -789,7 +778,6 @@ fn lint(args: &Args) -> Result<Outcome, CliError> {
     let defaults = bddcf::check::LintOptions::default();
     let options = bddcf::check::LintOptions {
         max_iterations: args.or("--max-iter", defaults.max_iterations)?,
-        ..defaults
     };
     quarantined_batch(
         args,
@@ -812,35 +800,6 @@ fn lint(args: &Args) -> Result<Outcome, CliError> {
                 println!("{finding}");
             }
             clean
-        },
-    )
-}
-
-fn inject(args: &Args) -> Result<Outcome, CliError> {
-    let defaults = bddcf::check::InjectionOptions::default();
-    let options = bddcf::check::InjectionOptions {
-        seed: args.or("--seed", defaults.seed)?,
-        points: args.or("--points", defaults.points)?,
-        max_iterations: args.or("--max-iter", defaults.max_iterations)?,
-        samples: args.or("--samples", defaults.samples)?,
-        ..defaults
-    };
-    quarantined_batch(
-        args,
-        "violated an invariant under fault injection",
-        |n| {
-            format!(
-                "all {n} benchmark(s) survive {} fault injection(s) each (seed {:#x})",
-                options.points, options.seed
-            )
-        },
-        |_, benchmark| {
-            let outcome = bddcf::check::run_injection(benchmark, &options);
-            println!("{}", outcome.summary());
-            for finding in outcome.report.findings() {
-                println!("     {finding}");
-            }
-            outcome.is_clean()
         },
     )
 }
@@ -962,51 +921,21 @@ fn serve(args: &Args) -> Result<Outcome, CliError> {
     Ok(Outcome::Clean)
 }
 
-fn loadtest(args: &Args) -> Result<Outcome, CliError> {
-    let defaults = bddcf::serve::LoadTestConfig::default();
-    let config = bddcf::serve::LoadTestConfig {
-        requests: args.or("--requests", defaults.requests)?,
-        clients: args.or("--clients", defaults.clients)?.max(1),
-        seed: args.or("--seed", defaults.seed)?,
-        spool_dir: args.get("--dir")?.unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("bddcf-loadtest-{}", std::process::id()))
-        }),
-        server_bin: Some(std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?),
-        workers: args.or("--workers", defaults.workers)?.max(1),
-        queue_capacity: args.or("--queue-cap", defaults.queue_capacity)?.max(1),
-    };
-    if !args.positional.is_empty() {
-        return Err("loadtest takes no positional arguments".into());
-    }
-    let report = bddcf::serve::run_loadtest(&config)?;
-    print!("{}", report.render());
-    Ok(if report.passed() {
-        Outcome::Clean
-    } else {
-        Outcome::Findings
-    })
-}
-
-fn diskchaos(args: &Args) -> Result<Outcome, CliError> {
-    let defaults = bddcf::serve::DiskChaosConfig::default();
-    let mut config = bddcf::serve::DiskChaosConfig {
+fn chaos(args: &Args) -> Result<Outcome, CliError> {
+    let defaults = bddcf::serve::ChaosConfig::default();
+    let config = bddcf::serve::ChaosConfig {
+        benchmarks: select_suite(args)?
+            .iter()
+            .map(|entry| entry.label.to_owned())
+            .collect(),
         seed: args.or("--seed", defaults.seed)?,
         points: args.or("--points", defaults.points)?,
         requests: args.or("--requests", defaults.requests)?,
-        drop_dir_sync: defaults.drop_dir_sync || args.has("--drop-dir-sync"),
-        ..defaults
+        dir: args.or("--dir", defaults.dir)?,
+        drop_dir_sync: args.has("--drop-dir-sync"),
+        server_bin: Some(std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?),
     };
-    // Labels (or an explicit --suite) add registry benchmarks to the
-    // reduction sweep; without them only the built-in PLA is swept.
-    if !args.positional.is_empty() || args.has("--suite") {
-        config.specs = select_suite(args)?
-            .iter()
-            .map(|entry| {
-                bddcf::serve::SynthSpec::new(bddcf::serve::Source::Registry(entry.label.into()))
-            })
-            .collect();
-    }
-    let report = bddcf::serve::run_diskchaos(&config)?;
+    let report = bddcf::serve::run_chaos(&config)?;
     print!("{}", report.render());
     Ok(if report.passed() {
         Outcome::Clean

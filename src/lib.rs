@@ -19,7 +19,7 @@
 //!   (`bddcf check`, and phase-boundary assertions behind the `check`
 //!   cargo feature).
 //! * [`serve`] — the fault-tolerant synthesis daemon (`bddcf serve`) and
-//!   its chaos harness (`bddcf loadtest`): admission control, deadlines,
+//!   its fault harness (`bddcf chaos`): admission control, deadlines,
 //!   worker quarantine, crash recovery over a durable spool.
 //! * [`bench`] — the Table-4 measurement pipeline behind the table
 //!   binaries, and the shapes and engine counters `perfbench` reports.

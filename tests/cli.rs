@@ -269,20 +269,22 @@ fn budget_exhaustion_exits_3_only_under_require_complete() {
     assert_eq!(out.status.code(), Some(3), "cascade budget must exit 3");
 }
 
-/// End-to-end chaos smoke through the real binary: `bddcf loadtest` spawns
-/// `bddcf serve` as a child process, SIGKILLs it mid-batch, restarts it on
-/// the same spool, and must certify that no accepted request was lost.
+/// End-to-end chaos smoke through the real binary: the process phase of
+/// `bddcf chaos` spawns `bddcf serve` as a child process, SIGKILLs it
+/// mid-batch, restarts it on the same spool, and must certify that no
+/// accepted request was lost.
 #[test]
 fn loadtest_survives_a_sigkill_of_the_child_daemon() {
     let dir = std::env::temp_dir().join(format!("bddcf-cli-loadtest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = bddcf()
         .args([
-            "loadtest",
+            "chaos",
+            "3-5 RNS",
+            "--points",
+            "3",
             "--requests",
             "24",
-            "--clients",
-            "2",
             "--seed",
             "11",
             "--dir",
@@ -377,12 +379,18 @@ fn exit_codes_distinguish_findings_from_usage_errors() {
     for (args, says) in [
         (vec!["check", "--no-such-flag"], "does not take"),
         (vec!["lint", "--suite", "no-such-suite"], "unknown --suite"),
-        (vec!["inject", "--no-such-flag"], "does not take"),
-        (vec!["diskchaos", "--no-such-flag"], "does not take"),
+        (vec!["inject", "--no-such-flag"], "unknown subcommand"),
+        (vec!["diskchaos", "--no-such-flag"], "unknown subcommand"),
         (vec!["frobnicate"], "unknown subcommand"),
         (vec!["bench"], "unknown subcommand"),
-        (vec!["loadtest", "--no-kill"], "does not take"),
-        (vec!["loadtest", "--in-process"], "does not take"),
+        (vec!["loadtest", "--no-kill"], "unknown subcommand"),
+        (vec!["loadtest", "--in-process"], "unknown subcommand"),
+        (vec!["chaos", "--no-such-flag"], "does not take"),
+        (vec!["chaos", "--clients", "2"], "does not take"),
+        (
+            vec!["chaos", "3-nary", "--require-complete"],
+            "does not take",
+        ),
         (vec!["sim", &cas, "0000", "--workers", "9"], "does not take"),
         (
             vec!["check", "3-nary", "--node-limit", "5"],
@@ -399,7 +407,7 @@ fn exit_codes_distinguish_findings_from_usage_errors() {
         (vec!["lint", "3-nary", "--samples", "4"], "does not take"),
         (
             vec!["inject", "3-nary", "--require-complete"],
-            "does not take",
+            "unknown subcommand",
         ),
         (
             vec![
@@ -486,13 +494,26 @@ fn check_quarantines_the_panic_probe_and_exits_zero() {
 }
 
 /// Crash recovery of a registry benchmark's checkpointed reduction, swept
-/// at sampled storage-event crash prefixes alongside the built-in PLA.
+/// at every storage-event crash prefix alongside the built-in PLA by the
+/// storage phase of `bddcf chaos`.
 #[test]
 fn diskchaos_sweeps_a_registry_benchmark() {
+    let dir = std::env::temp_dir().join(format!("bddcf-cli-diskchaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let out = bddcf()
-        .args(["diskchaos", "--points", "4", "3-nary"])
+        .args([
+            "chaos",
+            "--points",
+            "4",
+            "--requests",
+            "12",
+            "3-nary",
+            "--dir",
+        ])
+        .arg(&dir)
         .output()
         .expect("spawn");
+    let _ = std::fs::remove_dir_all(&dir);
     let text = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
