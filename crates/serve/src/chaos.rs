@@ -76,8 +76,7 @@ const ATTEMPTS: u32 = 80;
 /// What [`run_chaos`] faults.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
-    /// Registry benchmark labels the budget and storage phases run over
-    /// (default: the small suite).
+    /// Registry benchmark labels the budget and storage phases run over.
     pub benchmarks: Vec<String>,
     /// Seed of every fault schedule, crash tearing, request mix and kill.
     pub seed: u64,
@@ -98,10 +97,7 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
-            benchmarks: bddcf_funcs::small_benchmarks()
-                .iter()
-                .map(|entry| entry.label.to_owned())
-                .collect(),
+            benchmarks: Vec::new(),
             seed: 0xb0d0_cf5e,
             points: 100,
             requests: 200,
@@ -481,18 +477,25 @@ fn serve_sweep(
         // Three distinct tiny functions, repeated: duplicates exercise
         // the cache/replay path on the crashed disk too.
         let spec = SynthSpec::new(Source::Pla(pla_text(i as u64 % 3)));
+        // Sent once: on a fault-free disk with one client, a dropped
+        // connection or a retryable rejection is already a violation.
         let request = synth_request(format!("dc-{i}"), &spec, None, i % 2 == 0);
-        let response = retry_roundtrip(&|| Some(daemon.addr), &request, config.seed)
-            .ok_or(format!("dc-{i} went unanswered on a fault-free disk"))?
-            .0;
+        let reply = roundtrip(daemon.addr, &request.to_bytes())
+            .and_then(|reply| Response::from_bytes(&reply))
+            .and_then(|response| match response.status {
+                Status::Error => Err(format!("{:?}", response.error)),
+                _ => Ok(response),
+            });
+        let response = match reply {
+            Ok(response) => response,
+            Err(e) => {
+                report.violation(SESSION, format!("dc-{i}: failed on a fault-free disk: {e}"));
+                continue;
+            }
+        };
         let (result, _) = baselines
             .get(&spec)
             .map_err(|e| format!("the local run of dc-{i} failed: {e}"))?;
-        if response.status == Status::Error {
-            let what = format!("dc-{i}: failed on a fault-free disk: {:?}", response.error);
-            report.violation(SESSION, what);
-            continue;
-        }
         if response.result.as_ref() != Some(&result) {
             report.violation(
                 SESSION,
@@ -839,7 +842,7 @@ fn run_client(
                     None => Err(format!("gave up after {ATTEMPTS} attempts")),
                     Some((response, retries)) => {
                         tally.retries += retries;
-                        classify(&kind, &spec, response, baselines, &mut tally)
+                        classify(&id, &kind, &spec, response, baselines, &mut tally)
                     }
                 }
             }
@@ -851,8 +854,10 @@ fn run_client(
     (tally, violations)
 }
 
-/// Scores one terminal reply against the contract of its kind.
+/// Scores one terminal reply to request `id` against the contract of its
+/// kind.
 fn classify(
+    id: &str,
     kind: &ReqKind,
     spec: &SynthSpec,
     response: Response,
@@ -881,7 +886,10 @@ fn classify(
             let (result, degraded) = baselines
                 .get(spec)
                 .map_err(|e| format!("the local run failed: {e}"))?;
+            // The delivery flags are not artifact bytes; everything else,
+            // the echoed id included, must match the request and a local run.
             let want = Response {
+                id: id.to_owned(),
                 status: if degraded {
                     Status::Degraded
                 } else {
@@ -890,7 +898,9 @@ fn classify(
                 spec_hash: Some(spec.hash_hex()),
                 error: None,
                 result: Some(result),
-                ..response.clone()
+                cached: false,
+                resumed: false,
+                storage_degraded: false,
             };
             if want.artifact_bytes() != response.artifact_bytes() {
                 return Err(format!(

@@ -408,12 +408,17 @@ mod tests {
         // Uninterrupted baseline.
         let baseline = execute(&spec, None, None, false).expect("baseline");
 
-        // Kill at a deterministic step count, checkpointing.
-        let token = CancelToken::new();
-        let budget = Budget::default().with_cancel(token).with_cancel_at_step(40);
-        match execute(&spec, Some(budget), Some(&dir), false) {
-            Err(ExecError::Parked) => {}
-            other => panic!("expected a parked job, got {other:?}"),
+        // Kill at a deterministic step count, checkpointing; then kill the
+        // resumed run the same way. The request's budget governs the
+        // resumed reduction, not only the synthesis after it.
+        for resume in [false, true] {
+            let budget = Budget::default()
+                .with_cancel(CancelToken::new())
+                .with_cancel_at_step(40);
+            match execute(&spec, Some(budget), Some(&dir), resume) {
+                Err(ExecError::Parked) => {}
+                other => panic!("resume {resume}: expected a parked job, got {other:?}"),
+            }
         }
 
         // A fresh process resumes from the spooled checkpoint.
