@@ -27,7 +27,7 @@
 
 use crate::budget::{Budget, Error};
 use crate::hasher::FastMap;
-use crate::table::{ComputedTable, EngineStats, Node, ScratchMap, UniqueTable, NIL};
+use crate::table::{held, ComputedTable, EngineStats, Node, ScratchMap, UniqueTable, NIL};
 use std::fmt;
 
 /// A Boolean variable, identified by a stable index.
@@ -163,6 +163,16 @@ fn fresh_epoch() -> u32 {
 /// Sentinel variable index used by terminal nodes.
 const TERMINAL_VAR: u32 = u32::MAX;
 
+/// Indices of the four operation caches in `BddManager::caches`.
+const ITE: usize = 0;
+const EXISTS: usize = 1;
+const AND_EXISTS: usize = 2;
+const COMPOSE: usize = 3;
+
+/// Indices of the two scratch maps in `BddManager::scratch`.
+pub(crate) const SWAP_SCRATCH: usize = 0;
+pub(crate) const WIDTH_SCRATCH: usize = 1;
+
 /// Level reported for terminal nodes: below every variable.
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
@@ -180,23 +190,19 @@ pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 pub struct BddManager {
     nodes: Vec<Node>,
     unique: UniqueTable,
-    ite_cache: ComputedTable,
-    exists_cache: ComputedTable,
-    and_exists_cache: ComputedTable,
-    compose_cache: ComputedTable,
+    /// The operation caches, indexed by the `ITE` .. `COMPOSE` constants.
+    caches: [ComputedTable; 4],
     /// Largest `nodes.len()` this manager generation ever reached.
     peak_nodes: usize,
     /// Completed [`gc`](Self::gc) passes.
     gc_runs: u64,
     /// Wall-clock nanoseconds spent inside those passes.
     gc_pause_ns: u64,
-    /// Reusable stamped memo for [`swap_adjacent`](Self::swap_adjacent)'s
-    /// rebuild (reorder.rs): taken out for the duration of a swap, put
-    /// back after, so repeated swaps never reallocate.
-    swap_scratch: ScratchMap,
-    /// Reusable stamped visit-set for the sifter's crossing sets and the
-    /// in-place swap's reachability check (reorder.rs).
-    width_scratch: ScratchMap,
+    /// Reusable stamped maps (reorder.rs), loaned out per use: the memo of
+    /// [`swap_adjacent`](Self::swap_adjacent)'s rebuild (`SWAP_SCRATCH`)
+    /// and the visit-set of the sifter's crossing sets and the in-place
+    /// swap's reachability check (`WIDTH_SCRATCH`).
+    scratch: [ScratchMap; 2],
     /// Head of the per-variable node list: `var_heads[v]` is the arena
     /// index of one node labelled `v` (or `NIL`), and `var_next[i]` chains
     /// to the next node with the same label. The in-place adjacent swap
@@ -223,10 +229,6 @@ pub struct BddManager {
     /// service requests.
     poll_armed: bool,
     poisoned: bool,
-    /// Long-lived roots registered via [`register_root`](Self::register_root):
-    /// [`gc`](Self::gc) keeps them alive and remaps them in place, so ids
-    /// stored in structures outside the call site survive compaction.
-    registered_roots: Vec<NodeId>,
     /// Brand epoch for `check` builds: every id this manager generation
     /// mints carries it, and every dereference verifies it. A clone shares
     /// the epoch (its arena is a snapshot, so foreign ids stay valid);
@@ -259,15 +261,11 @@ impl BddManager {
         let mut mgr = BddManager {
             nodes: Vec::with_capacity(1024),
             unique: UniqueTable::with_capacity_log2(UniqueTable::capacity_log2_for(0)),
-            ite_cache: ComputedTable::default(),
-            exists_cache: ComputedTable::default(),
-            and_exists_cache: ComputedTable::default(),
-            compose_cache: ComputedTable::default(),
+            caches: Default::default(),
             peak_nodes: 2,
             gc_runs: 0,
             gc_pause_ns: 0,
-            swap_scratch: ScratchMap::default(),
-            width_scratch: ScratchMap::default(),
+            scratch: Default::default(),
             var_heads: vec![NIL; num_vars],
             var_next: vec![NIL; 2],
             swap_chain: Vec::new(),
@@ -277,7 +275,6 @@ impl BddManager {
             steps: 0,
             poll_armed: false,
             poisoned: false,
-            registered_roots: Vec::new(),
             #[cfg(feature = "check")]
             epoch: fresh_epoch(),
             #[cfg(feature = "check")]
@@ -318,35 +315,20 @@ impl BddManager {
         self.nodes.len()
     }
 
-    /// Takes the swap-rebuild scratch out of the manager, begun over the
-    /// current arena. The caller must give it back via
-    /// [`put_swap_scratch`](Self::put_swap_scratch) so the next swap
-    /// reuses the allocation.
-    pub(crate) fn take_swap_scratch(&mut self) -> ScratchMap {
-        let mut scratch = std::mem::take(&mut self.swap_scratch);
+    /// Takes scratch map `which` (`SWAP_SCRATCH` or `WIDTH_SCRATCH`) out of
+    /// the manager, begun over the current arena. The caller must give it
+    /// back via [`put_scratch`](Self::put_scratch) so the next use reuses
+    /// the allocation.
+    pub(crate) fn take_scratch(&mut self, which: usize) -> ScratchMap {
+        let mut scratch = std::mem::take(&mut self.scratch[which]);
         scratch.begin(self.nodes.len());
         scratch
     }
 
-    /// Returns the swap-rebuild scratch taken by
-    /// [`take_swap_scratch`](Self::take_swap_scratch).
-    pub(crate) fn put_swap_scratch(&mut self, scratch: ScratchMap) {
-        self.swap_scratch = scratch;
-    }
-
-    /// Takes the crossing-set/reachability scratch out of the manager,
-    /// begun over the current arena. Counterpart of
-    /// [`put_width_scratch`](Self::put_width_scratch).
-    pub(crate) fn take_width_scratch(&mut self) -> ScratchMap {
-        let mut scratch = std::mem::take(&mut self.width_scratch);
-        scratch.begin(self.nodes.len());
-        scratch
-    }
-
-    /// Returns the crossing-set/reachability scratch taken by
-    /// [`take_width_scratch`](Self::take_width_scratch).
-    pub(crate) fn put_width_scratch(&mut self, scratch: ScratchMap) {
-        self.width_scratch = scratch;
+    /// Returns scratch map `which`, taken by
+    /// [`take_scratch`](Self::take_scratch).
+    pub(crate) fn put_scratch(&mut self, which: usize, scratch: ScratchMap) {
+        self.scratch[which] = scratch;
     }
 
     // ---------------------------------------------------------------------
@@ -359,8 +341,7 @@ impl BddManager {
     fn rebuild_var_lists(&mut self) {
         self.var_heads.clear();
         self.var_heads.resize(self.num_vars(), NIL);
-        self.var_next.clear();
-        self.var_next.resize(self.nodes.len(), NIL);
+        self.var_next = vec![NIL; self.nodes.len()]; // shrinks after a gc
         for i in 2..self.nodes.len() {
             let var = self.nodes[i].var as usize;
             self.var_next[i] = self.var_heads[var];
@@ -444,7 +425,7 @@ impl BddManager {
     /// Used by the in-place swap's rare key-collision tie-break, where
     /// liveness decides which of two same-function nodes stays tabled.
     pub(crate) fn reaches(&mut self, roots: &[NodeId], target: u32) -> bool {
-        let mut seen = self.take_width_scratch();
+        let mut seen = self.take_scratch(WIDTH_SCRATCH);
         let mut stack: Vec<u32> = Vec::new();
         for &r in roots {
             if seen.get(r.0).is_none() {
@@ -469,7 +450,7 @@ impl BddManager {
                 }
             }
         }
-        self.put_width_scratch(seen);
+        self.put_scratch(WIDTH_SCRATCH, seen);
         found
     }
 
@@ -1143,6 +1124,7 @@ impl BddManager {
 
     /// Budgeted variant of [`ite`](Self::ite): charges one step per
     /// cache-missing recursion and respects the node quota.
+    // xlint: allow(XL104): `caches[ITE]` is a constant index into the four-cache array
     pub fn try_ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> Result<NodeId, Error> {
         // Terminal short-cuts.
         if f == TRUE {
@@ -1157,7 +1139,7 @@ impl BddManager {
         if g == TRUE && h == FALSE {
             return Ok(f);
         }
-        if let Some(r) = self.ite_cache.get(f.0, g.0, h.0) {
+        if let Some(r) = self.caches[ITE].get(f.0, g.0, h.0) {
             return Ok(self.brand(r));
         }
         self.charge()?;
@@ -1172,7 +1154,7 @@ impl BddManager {
         let lo = self.try_ite(f0, g0, h0)?;
         let hi = self.try_ite(f1, g1, h1)?;
         let r = self.try_mk(var, lo, hi)?;
-        self.ite_cache.put(f.0, g.0, h.0, r.0);
+        self.caches[ITE].put(f.0, g.0, h.0, r.0);
         Ok(r)
     }
 
@@ -1332,7 +1314,7 @@ impl BddManager {
             return Ok(if value { n.hi } else { n.lo });
         }
         // Reuse the compose cache: restrict(f, v, c) = compose(f, v, const c).
-        if let Some(r) = self.compose_cache.get(f.0, var.0, lit.0) {
+        if let Some(r) = self.caches[COMPOSE].get(f.0, var.0, lit.0) {
             return Ok(self.brand(r));
         }
         self.charge()?;
@@ -1340,7 +1322,7 @@ impl BddManager {
         let lo = self.restrict_rec(n.lo, var, value, var_level, lit)?;
         let hi = self.restrict_rec(n.hi, var, value, var_level, lit)?;
         let r = self.try_mk(Var(n.var), lo, hi)?;
-        self.compose_cache.put(f.0, var.0, lit.0, r.0);
+        self.caches[COMPOSE].put(f.0, var.0, lit.0, r.0);
         Ok(r)
     }
 
@@ -1388,7 +1370,7 @@ impl BddManager {
             let n = self.nodes[f.0 as usize];
             return self.try_ite(g, n.hi, n.lo);
         }
-        if let Some(r) = self.compose_cache.get(f.0, var.0, g.0) {
+        if let Some(r) = self.caches[COMPOSE].get(f.0, var.0, g.0) {
             return Ok(self.brand(r));
         }
         self.charge()?;
@@ -1398,7 +1380,7 @@ impl BddManager {
         // lo/hi may now depend on variables above n.var, so rebuild with ite.
         let v = self.try_mk(Var(n.var), FALSE, TRUE)?;
         let r = self.try_ite(v, hi, lo)?;
-        self.compose_cache.put(f.0, var.0, g.0, r.0);
+        self.caches[COMPOSE].put(f.0, var.0, g.0, r.0);
         Ok(r)
     }
 
@@ -1427,7 +1409,7 @@ impl BddManager {
             return Ok(f);
         }
         debug_assert!(cube != FALSE, "quantification cube must be a positive cube");
-        if let Some(r) = self.exists_cache.get(f.0, cube.0, NIL) {
+        if let Some(r) = self.caches[EXISTS].get(f.0, cube.0, NIL) {
             return Ok(self.brand(r));
         }
         self.charge()?;
@@ -1449,7 +1431,7 @@ impl BddManager {
             let hi = self.try_exists_cube(n.hi, cube)?;
             self.try_mk(Var(n.var), lo, hi)?
         };
-        self.exists_cache.put(f.0, cube.0, NIL, r.0);
+        self.caches[EXISTS].put(f.0, cube.0, NIL, r.0);
         Ok(r)
     }
 
@@ -1475,6 +1457,7 @@ impl BddManager {
     }
 
     /// Budgeted variant of [`and_exists`](Self::and_exists).
+    // xlint: allow(XL104): `caches[AND_EXISTS]` is a constant index into the four-cache array
     pub fn try_and_exists(&mut self, f: NodeId, g: NodeId, cube: NodeId) -> Result<NodeId, Error> {
         if f == FALSE || g == FALSE {
             return Ok(FALSE);
@@ -1486,7 +1469,7 @@ impl BddManager {
             return self.try_and(f, g);
         }
         let (ka, kb) = (f.min(g).0, f.max(g).0);
-        if let Some(r) = self.and_exists_cache.get(ka, kb, cube.0) {
+        if let Some(r) = self.caches[AND_EXISTS].get(ka, kb, cube.0) {
             return Ok(self.brand(r));
         }
         self.charge()?;
@@ -1519,7 +1502,7 @@ impl BddManager {
                 self.try_mk(var, lo, hi)?
             }
         };
-        self.and_exists_cache.put(ka, kb, cube.0, r.0);
+        self.caches[AND_EXISTS].put(ka, kb, cube.0, r.0);
         Ok(r)
     }
 
@@ -1573,7 +1556,7 @@ impl BddManager {
             return Ok(true);
         }
         let (ka, kb) = (f.min(g).0, f.max(g).0);
-        if let Some(r) = self.and_exists_cache.get(ka, kb, cube.0) {
+        if let Some(r) = self.caches[AND_EXISTS].get(ka, kb, cube.0) {
             return Ok(self.brand(r) == live);
         }
         self.charge()?;
@@ -1597,7 +1580,7 @@ impl BddManager {
             self.and_exists_keeps_rec(f0, g0, l0, c)? && self.and_exists_keeps_rec(f1, g1, l1, c)?
         };
         if keeps {
-            self.and_exists_cache.put(ka, kb, cube.0, live.0);
+            self.caches[AND_EXISTS].put(ka, kb, cube.0, live.0);
         }
         Ok(keeps)
     }
@@ -1788,10 +1771,9 @@ impl BddManager {
     /// This is a generation-tag bump per cache — O(1), no slot is touched
     /// — which is what makes per-swap invalidation during sifting free.
     pub fn clear_caches(&mut self) {
-        self.ite_cache.invalidate();
-        self.exists_cache.invalidate();
-        self.and_exists_cache.invalidate();
-        self.compose_cache.invalidate();
+        for cache in &mut self.caches {
+            cache.invalidate();
+        }
     }
 
     /// Total number of entries across all four operation caches. Mostly
@@ -1799,10 +1781,7 @@ impl BddManager {
     /// [`clear_caches`](Self::clear_caches) or [`gc`](Self::gc) this is
     /// zero, so no stale pre-compaction result can ever be served.
     pub fn cache_entry_count(&self) -> usize {
-        self.ite_cache.live()
-            + self.exists_cache.live()
-            + self.and_exists_cache.live()
-            + self.compose_cache.live()
+        self.caches.iter().map(ComputedTable::live).sum()
     }
 
     /// Engine-health snapshot: arena peaks, unique-table probe counters,
@@ -1810,6 +1789,9 @@ impl BddManager {
     /// Counters are monotone over this manager generation; cloning a
     /// manager clones its counters.
     pub fn engine_stats(&self) -> EngineStats {
+        let arena = held(&self.nodes) + held(&self.var_next) + held(&self.var_heads);
+        let caches: u64 = self.caches.iter().map(ComputedTable::held_bytes).sum();
+        let scratch: u64 = self.scratch.iter().map(ScratchMap::held_bytes).sum();
         EngineStats {
             peak_nodes: self.peak_nodes as u64,
             peak_arena_bytes: (self.peak_nodes * std::mem::size_of::<Node>()) as u64,
@@ -1817,31 +1799,32 @@ impl BddManager {
             unique_capacity: self.unique.capacity() as u64,
             unique_lookups: self.unique.lookups(),
             unique_probes: self.unique.probes(),
-            ite: self.ite_cache.stats(),
-            exists: self.exists_cache.stats(),
-            and_exists: self.and_exists_cache.stats(),
-            compose: self.compose_cache.stats(),
+            ite: self.caches[ITE].stats(),
+            exists: self.caches[EXISTS].stats(),
+            and_exists: self.caches[AND_EXISTS].stats(),
+            compose: self.caches[COMPOSE].stats(),
             gc_runs: self.gc_runs,
             gc_pause_ns: self.gc_pause_ns,
+            held_bytes: arena + self.unique.held_bytes() + caches + scratch,
         }
     }
 
     /// Mark-and-rebuild garbage collection.
     ///
-    /// Keeps exactly the nodes reachable from `roots` (plus every root
-    /// registered via [`register_root`](Self::register_root), which is
-    /// remapped in place), compacts the arena, and returns the ids of the
-    /// roots in the new arena (same order as the input). All previously
-    /// held [`NodeId`]s — other than the returned ones, the re-registered
-    /// ones, and the terminals — are invalidated. In `check` builds the
+    /// Keeps exactly the nodes reachable from `roots`, compacts the arena,
+    /// and returns the ids of the roots in the new arena (same order as the
+    /// input). All previously held [`NodeId`]s — other than the returned
+    /// ones and the terminals — are invalidated. In `check` builds the
     /// manager moves to a fresh brand epoch, so dereferencing a stale
-    /// pre-gc id panics instead of denoting the wrong function.
+    /// pre-gc id panics instead of denoting the wrong function. Every
+    /// per-manager table then follows the live arena: the unique table and
+    /// the four (emptied) operation caches are sized for the survivors, and
+    /// a scratch map far larger than them is freed.
     pub fn gc(&mut self, roots: &[NodeId]) -> Vec<NodeId> {
         let pause = std::time::Instant::now();
         for &r in roots {
             self.check_brand(r);
         }
-        let registered = std::mem::take(&mut self.registered_roots);
         #[cfg(feature = "check")]
         {
             self.epoch = fresh_epoch();
@@ -1871,10 +1854,9 @@ impl BddManager {
         new_nodes.push(self.nodes[1]);
         let mut new_unique = UniqueTable::with_capacity_log2(UniqueTable::capacity_log2_for(0));
 
-        // Iterative post-order copy, registered roots after the explicit
-        // ones so they can be split back off the shared result vector.
-        let mut result = Vec::with_capacity(roots.len() + registered.len());
-        for &root in roots.iter().chain(registered.iter()) {
+        // Iterative post-order copy.
+        let mut result = Vec::with_capacity(roots.len());
+        for &root in roots {
             let mut stack = vec![(root.0, false)];
             while let Some((n, expanded)) = stack.pop() {
                 if remap[n as usize] != UNMAPPED {
@@ -1917,39 +1899,19 @@ impl BddManager {
         if cap != new_unique.capacity_log2() {
             new_unique.rebuild(&mut new_nodes, cap);
         }
+        let live = new_unique.len();
         self.nodes = new_nodes;
         self.unique = new_unique;
         self.rebuild_var_lists();
-        self.clear_caches();
-        self.registered_roots = result.split_off(roots.len());
+        for cache in &mut self.caches {
+            cache.reset_for(live);
+        }
+        for scratch in &mut self.scratch {
+            scratch.trim_to(live);
+        }
         self.gc_runs += 1;
         self.gc_pause_ns += pause.elapsed().as_nanos() as u64;
         result
-    }
-
-    /// Registers `id` as a long-lived root: every future
-    /// [`gc`](Self::gc) keeps it alive and remaps the registered entry in
-    /// place, so the current value (see
-    /// [`registered_roots`](Self::registered_roots)) stays valid across
-    /// compactions. Stored ids that are *not* re-read after gc still go
-    /// stale — registration protects the node, not old copies of the id.
-    /// Duplicate registrations are ignored.
-    pub fn register_root(&mut self, id: NodeId) {
-        self.check_brand(id);
-        if !self.is_const(id) && !self.registered_roots.contains(&id) {
-            self.registered_roots.push(id);
-        }
-    }
-
-    /// Removes `id` from the registered-root set (a no-op if absent).
-    pub fn unregister_root(&mut self, id: NodeId) {
-        self.registered_roots.retain(|&r| r != id);
-    }
-
-    /// The currently registered long-lived roots, remapped by every
-    /// [`gc`](Self::gc), in registration order.
-    pub fn registered_roots(&self) -> &[NodeId] {
-        &self.registered_roots
     }
 
     // ---------------------------------------------------------------------
@@ -2094,24 +2056,24 @@ impl BddManager {
         // the current generation are observable; anything older is dead by
         // construction).
         let live = |raw: u32| (raw as usize) < len;
-        for (f, g, h, r) in self.ite_cache.live_entries() {
+        for (f, g, h, r) in self.caches[ITE].live_entries() {
             if ![f, g, h, r].into_iter().all(live) {
                 out.push(V::StaleCacheEntry { cache: "ite" });
             }
         }
-        for (f, c, _nil, r) in self.exists_cache.live_entries() {
+        for (f, c, _nil, r) in self.caches[EXISTS].live_entries() {
             if ![f, c, r].into_iter().all(live) {
                 out.push(V::StaleCacheEntry { cache: "exists" });
             }
         }
-        for (f, g, c, r) in self.and_exists_cache.live_entries() {
+        for (f, g, c, r) in self.caches[AND_EXISTS].live_entries() {
             if ![f, g, c, r].into_iter().all(live) {
                 out.push(V::StaleCacheEntry {
                     cache: "and_exists",
                 });
             }
         }
-        for (f, var, g, r) in self.compose_cache.live_entries() {
+        for (f, var, g, r) in self.caches[COMPOSE].live_entries() {
             if ![f, g, r].into_iter().all(live) || var >= num_vars {
                 out.push(V::StaleCacheEntry { cache: "compose" });
             }
@@ -2139,23 +2101,23 @@ impl BddManager {
             TestCorruption::UnregisterNode => {
                 assert!(self.nodes.len() > 2, "corrupting needs an interior node");
                 let last = (self.nodes.len() - 1) as u32;
-                self.unique.unlink(&mut self.nodes, last);
+                self.unique.unlink_checked(&mut self.nodes, last);
             }
             TestCorruption::DanglingCacheEntry => {
                 let dangling = self.nodes.len() as u32;
-                self.ite_cache.put(FALSE.0, TRUE.0, FALSE.0, dangling);
+                self.caches[ITE].put(FALSE.0, TRUE.0, FALSE.0, dangling);
             }
             TestCorruption::DanglingExistsEntry => {
                 let dangling = self.nodes.len() as u32;
-                self.exists_cache.put(FALSE.0, TRUE.0, NIL, dangling);
+                self.caches[EXISTS].put(FALSE.0, TRUE.0, NIL, dangling);
             }
             TestCorruption::DanglingAndExistsEntry => {
                 let dangling = self.nodes.len() as u32;
-                self.and_exists_cache.put(FALSE.0, TRUE.0, TRUE.0, dangling);
+                self.caches[AND_EXISTS].put(FALSE.0, TRUE.0, TRUE.0, dangling);
             }
             TestCorruption::DanglingComposeEntry => {
                 let dangling = self.nodes.len() as u32;
-                self.compose_cache.put(FALSE.0, 0, TRUE.0, dangling);
+                self.caches[COMPOSE].put(FALSE.0, 0, TRUE.0, dangling);
             }
             TestCorruption::StaleUniqueEntry => {
                 let dangling = self.nodes.len() as u32;
@@ -2853,6 +2815,73 @@ mod tests {
         mgr.check_integrity().expect("post-gc manager is sound");
     }
 
+    /// Builds the four workloads of `gc_sizes_every_cache_to_the_live_arena`
+    /// — one per operation cache — and returns each result's truth table.
+    fn cache_workload(mgr: &mut BddManager, n: u32) -> Vec<Vec<bool>> {
+        // Pairs x_i ∧ x_{i+n/2} in index order: exponential in n/2.
+        let mut f = FALSE;
+        let mut g = TRUE;
+        for i in 0..n / 2 {
+            let (a, b) = (mgr.var(Var(i)), mgr.var(Var(i + n / 2)));
+            let pair = mgr.and(a, b);
+            f = mgr.or(f, pair);
+            let parity = mgr.xor(a, b);
+            g = mgr.and(g, parity);
+        }
+        let quantified: Vec<Var> = (0..n).step_by(3).map(Var).collect();
+        let cube = mgr.cube(&quantified.iter().map(|&v| (v, true)).collect::<Vec<_>>());
+        let results = [
+            mgr.exists(f, &quantified),
+            mgr.and_exists(f, g, cube),
+            mgr.restrict(f, Var(n / 2), true),
+            mgr.compose(f, Var(1), g),
+            f,
+        ];
+        results
+            .iter()
+            .map(|&r| {
+                (0..1u32 << n)
+                    .map(|m| mgr.eval(r, &(0..n).map(|v| m >> v & 1 == 1).collect::<Vec<_>>()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gc_sizes_every_cache_to_the_live_arena() {
+        let n = 16;
+        let mut mgr = BddManager::new(n as usize);
+        let before_truth = cache_workload(&mut mgr, n);
+        let before = mgr.engine_stats();
+        let caches = |s: &EngineStats| [s.ite, s.exists, s.and_exists, s.compose];
+        for cache in caches(&before) {
+            assert!(cache.capacity > 256, "the workload grows every cache");
+        }
+        let small = mgr.var(Var(3));
+        let _ = mgr.gc(&[small]);
+        let after = mgr.engine_stats();
+        let want = after.unique_len.next_power_of_two().clamp(256, 1 << 20);
+        for (old, new) in caches(&before).into_iter().zip(caches(&after)) {
+            assert_eq!(
+                new.capacity, want,
+                "sized for {} live nodes",
+                after.unique_len
+            );
+            assert_eq!(new.live, 0);
+            assert_eq!(new.slots_swept, 0);
+            assert_eq!(new.invalidations, old.invalidations + 1);
+            assert!(new.hits >= old.hits && new.misses >= old.misses);
+            assert!(new.insertions >= old.insertions && new.evictions >= old.evictions);
+        }
+        assert!(
+            after.held_bytes < before.held_bytes / 4,
+            "the memory went too"
+        );
+        // The shrunken caches serve a fresh run of the same workload.
+        assert_eq!(cache_workload(&mut mgr, n), before_truth);
+        mgr.check_integrity().expect("post-gc manager is sound");
+    }
+
     #[test]
     fn apply_matches_dedicated_ops() {
         let (mut mgr, a, b, _) = setup3();
@@ -2938,40 +2967,6 @@ mod tests {
             });
             assert!(matched, "{kind:?} not matched in {violations:?}");
         }
-    }
-
-    #[test]
-    fn registered_roots_survive_gc_and_are_remapped() {
-        let mut mgr = BddManager::new(3);
-        let a = mgr.var(Var(0));
-        let b = mgr.var(Var(1));
-        let keep = mgr.and(a, b);
-        mgr.register_root(keep);
-        // Garbage that would otherwise pin `keep`'s old arena position.
-        let c = mgr.var(Var(2));
-        let _junk = mgr.xor(a, c);
-        let explicit = mgr.gc(&[]);
-        assert!(explicit.is_empty());
-        let &[kept] = mgr.registered_roots() else {
-            panic!("exactly one registered root expected");
-        };
-        // The remapped root still denotes a ∧ b.
-        let a = mgr.var(Var(0));
-        let b = mgr.var(Var(1));
-        assert_eq!(mgr.and(a, b), kept);
-        mgr.unregister_root(kept);
-        assert!(mgr.registered_roots().is_empty());
-    }
-
-    #[test]
-    fn register_root_ignores_terminals_and_duplicates() {
-        let mut mgr = BddManager::new(1);
-        mgr.register_root(TRUE);
-        mgr.register_root(FALSE);
-        let v = mgr.var(Var(0));
-        mgr.register_root(v);
-        mgr.register_root(v);
-        assert_eq!(mgr.registered_roots(), &[v]);
     }
 
     #[cfg(feature = "check")]

@@ -41,7 +41,7 @@
 //! function-correct, but clearing is an O(1) generation bump and keeps
 //! every cached id accountable to the live arena.
 
-use crate::manager::{BddManager, NodeId, Var, FALSE};
+use crate::manager::{BddManager, NodeId, Var, FALSE, SWAP_SCRATCH, WIDTH_SCRATCH};
 use crate::table::{ScratchMap, NIL};
 
 /// Cost function minimised by [`BddManager::sift`].
@@ -129,12 +129,12 @@ impl BddManager {
         // The memo is a stamped arena-indexed map owned by the manager:
         // keys are pre-swap node ids (all below the arena length at take
         // time), so repeated swaps reuse one allocation and never hash.
-        let mut memo = self.take_swap_scratch();
+        let mut memo = self.take_scratch(SWAP_SCRATCH);
         let result = roots
             .iter()
             .map(|&r| self.swap_rebuild(r, u, v, level, &mut memo))
             .collect();
-        self.put_swap_scratch(memo);
+        self.put_scratch(SWAP_SCRATCH, memo);
         self.clear_caches();
         result
     }
@@ -608,11 +608,11 @@ impl CrossingSets {
     fn build(mgr: &mut BddManager, roots: &[NodeId]) -> Self {
         let t = mgr.num_vars();
         let mut sets = vec![Vec::new(); t + 1];
-        let mut seen = mgr.take_width_scratch();
+        let mut seen = mgr.take_scratch(WIDTH_SCRATCH);
         for &root in roots {
             admit(&mut seen, &mut sets[0], root);
         }
-        mgr.put_width_scratch(seen);
+        mgr.put_scratch(WIDTH_SCRATCH, seen);
         let mut tracker = CrossingSets {
             sets,
             level_nodes: vec![0; t],
@@ -631,7 +631,7 @@ impl CrossingSets {
         let (upper, lower) = self.sets.split_at_mut(l + 1);
         let (above, below) = (&upper[l], &mut lower[0]);
         below.clear();
-        let mut seen = mgr.take_width_scratch();
+        let mut seen = mgr.take_scratch(WIDTH_SCRATCH);
         let (mut at_level, mut next_level) = (0, 0);
         for &raw in above.iter() {
             let n = mgr.brand(raw);
@@ -647,7 +647,7 @@ impl CrossingSets {
                 }
             }
         }
-        mgr.put_width_scratch(seen);
+        mgr.put_scratch(WIDTH_SCRATCH, seen);
         self.level_nodes[l] = at_level;
         if let Some(count) = self.level_nodes.get_mut(l + 1) {
             *count = next_level;

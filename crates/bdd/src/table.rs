@@ -9,14 +9,15 @@
 //! anyway, and the table proper is just one bucket-head array of `u32`s
 //! ([`UniqueTable`]).
 //!
-//! Operation results are memoized in fixed-geometry direct-mapped tables
+//! Operation results are memoized in direct-mapped tables
 //! ([`ComputedTable`]): one slot per hash index, no chains, stale entries
 //! simply overwritten. Each slot carries a *generation tag*; bumping the
 //! table's generation invalidates every entry in O(1), which is what makes
 //! per-swap cache invalidation during sifting affordable (the previous
 //! design dropped and reallocated four `HashMap`s per adjacent-level
-//! swap). All tables expose monotone counters so `bddcf stats` and the
-//! benchmark can report probe lengths and hit rates ([`CacheStats`],
+//! swap). A table doubles while it fills and is resized to the live arena
+//! at every GC. All tables expose monotone counters so `bddcf stats` and
+//! the benchmark can report probe lengths and hit rates ([`CacheStats`],
 //! [`EngineStats`]).
 
 use crate::manager::NodeId;
@@ -119,6 +120,11 @@ impl UniqueTable {
         self.len
     }
 
+    /// Bytes held by the bucket-head array.
+    pub(crate) fn held_bytes(&self) -> u64 {
+        held(&self.buckets)
+    }
+
     /// Total `find` calls so far.
     pub(crate) fn lookups(&self) -> u64 {
         self.lookups
@@ -219,16 +225,11 @@ impl UniqueTable {
         }
     }
 
-    /// Splices the node at `id` out of its bucket chain (test support for
-    /// the `UnregisterNode` corruption). No-op if the node is not linked.
-    pub(crate) fn unlink(&mut self, nodes: &mut [Node], id: u32) {
-        let _ = self.unlink_checked(nodes, id);
-    }
-
     /// Splices the node at `id` out of its bucket chain, reporting whether
     /// it was actually linked. The in-place adjacent swap (reorder.rs) uses
     /// the `false` case as its garbage test: a node absent from the table
-    /// cannot be the canonical representative of any live function.
+    /// cannot be the canonical representative of any live function. The
+    /// `UnregisterNode` corruption uses it too.
     pub(crate) fn unlink_checked(&mut self, nodes: &mut [Node], id: u32) -> bool {
         let n = nodes[id as usize];
         let b = self.bucket_of(n.var, n.lo.0, n.hi.0);
@@ -309,13 +310,17 @@ const EMPTY_SLOT: Slot = Slot {
     generation: 0,
 };
 
-/// Initial computed-table geometry (slots; power of two).
-const CACHE_MIN_LOG2: u32 = 8;
-/// Growth ceiling (slots; power of two).
-const CACHE_MAX_LOG2: u32 = 20;
+/// Initial computed-table slot count (power of two).
+const CACHE_MIN: usize = 1 << 8;
+/// Growth ceiling in slots (power of two).
+const CACHE_MAX: usize = 1 << 20;
 
-/// A fixed-geometry direct-mapped operation cache with generation-tag
-/// invalidation.
+/// Bytes allocated behind `v` (its capacity, not its length).
+pub(crate) fn held<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
+/// A direct-mapped operation cache with generation-tag invalidation.
 ///
 /// `invalidate` bumps the table generation instead of touching slots, so
 /// wholesale invalidation (GC, adjacent-level swaps during sifting) is
@@ -341,10 +346,9 @@ pub(crate) struct ComputedTable {
 
 impl Default for ComputedTable {
     fn default() -> Self {
-        let cap = 1usize << CACHE_MIN_LOG2;
         ComputedTable {
-            slots: vec![EMPTY_SLOT; cap],
-            mask: (cap - 1) as u64,
+            slots: vec![EMPTY_SLOT; CACHE_MIN],
+            mask: (CACHE_MIN - 1) as u64,
             generation: 1,
             live: 0,
             hits: 0,
@@ -373,7 +377,7 @@ impl ComputedTable {
 
     /// Records `(a, b, c) → r`, evicting whatever lived in the slot.
     pub(crate) fn put(&mut self, a: u32, b: u32, c: u32, r: u32) {
-        if self.live >= self.slots.len() / 2 && self.slots.len() < (1 << CACHE_MAX_LOG2) {
+        if self.live >= self.slots.len() / 2 && self.slots.len() < CACHE_MAX {
             self.grow();
         }
         let idx = (mix3(a, b, c) & self.mask) as usize;
@@ -432,9 +436,25 @@ impl ComputedTable {
         }
     }
 
+    /// GC-time reset: invalidates every entry and sizes the slot array for
+    /// `live` nodes, reallocating only when that size changes.
+    pub(crate) fn reset_for(&mut self, live: usize) {
+        self.invalidate();
+        let cap = live.next_power_of_two().clamp(CACHE_MIN, CACHE_MAX);
+        if cap != self.slots.len() {
+            self.slots = vec![EMPTY_SLOT; cap];
+            self.mask = (cap - 1) as u64;
+        }
+    }
+
     /// Entries observable under the current generation.
     pub(crate) fn live(&self) -> usize {
         self.live
+    }
+
+    /// Bytes held by the slot array.
+    pub(crate) fn held_bytes(&self) -> u64 {
+        held(&self.slots)
     }
 
     /// Iterates the live `(a, b, c, r)` entries (integrity walk).
@@ -464,8 +484,8 @@ impl ComputedTable {
 /// resetting is one generation bump, so a traversal that visits `k` nodes
 /// costs O(k) regardless of arena size — no per-use allocation or memset.
 ///
-/// The backing store grows monotonically to the largest arena it has
-/// served; [`begin`](Self::begin) must be called before each use.
+/// The backing store grows to the largest arena served since a GC last
+/// [trimmed](Self::trim_to) it; call [`begin`](Self::begin) before each use.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ScratchMap {
     stamp: Vec<u32>,
@@ -487,6 +507,19 @@ impl ScratchMap {
             self.stamp.fill(0);
             self.generation = 1;
         }
+    }
+
+    /// Frees a store over four times an arena of `live` slots (floored at
+    /// 1024); the next [`begin`](Self::begin) regrows it.
+    pub(crate) fn trim_to(&mut self, live: usize) {
+        if self.stamp.len() > 4 * live.max(1024) {
+            *self = ScratchMap::default();
+        }
+    }
+
+    /// Bytes held by the stamp and value stores.
+    pub(crate) fn held_bytes(&self) -> u64 {
+        held(&self.stamp) + held(&self.val)
     }
 
     /// The value stored for `raw` in the current use, if any. Ids past
@@ -587,6 +620,9 @@ pub struct EngineStats {
     pub gc_runs: u64,
     /// Wall-clock nanoseconds spent inside those collections.
     pub gc_pause_ns: u64,
+    /// Bytes held now by the arena and its variable chains, the unique
+    /// table's buckets, the four operation caches and the scratch maps.
+    pub held_bytes: u64,
 }
 
 impl EngineStats {
@@ -679,7 +715,7 @@ mod tests {
         for &id in &ids {
             t.insert(&mut nodes, id);
         }
-        t.unlink(&mut nodes, ids[3]);
+        assert!(t.unlink_checked(&mut nodes, ids[3]));
         assert_eq!(t.find(&nodes, 3, 0, 1), None);
         for v in [0u32, 1, 2, 4, 5, 6, 7] {
             assert!(t.find(&nodes, v, 0, 1).is_some(), "var {v} vanished");
@@ -716,14 +752,59 @@ mod tests {
     #[test]
     fn computed_table_grow_keeps_live_entries() {
         let mut c = ComputedTable::default();
-        let n = (1u32 << CACHE_MIN_LOG2) + 40;
+        let n = CACHE_MIN as u32 + 40;
         for k in 0..n {
             c.put(k, k ^ 0x5555, k.rotate_left(7), k);
         }
-        assert!(c.stats().capacity > 1 << CACHE_MIN_LOG2, "table grew");
+        assert!(c.stats().capacity > CACHE_MIN as u64, "table grew");
         // Growth re-homes survivors; at least the last write must live.
         let k = n - 1;
         assert_eq!(c.get(k, k ^ 0x5555, k.rotate_left(7)), Some(k));
+    }
+
+    #[test]
+    fn reset_for_sizes_by_live_count_and_reuses_an_equal_array() {
+        let mut c = ComputedTable::default();
+        for k in 0..5000u32 {
+            c.put(k, k, NIL, k);
+        }
+        let grown = c.stats();
+        assert!(grown.capacity > 2048, "the table grew");
+        c.reset_for(1500);
+        let reset = c.stats();
+        assert_eq!(reset.capacity, 2048, "smallest power of two ≥ 1500");
+        assert_eq!(
+            (reset.live, reset.invalidations),
+            (0, grown.invalidations + 1)
+        );
+        assert_eq!(reset.insertions, grown.insertions, "counters carry over");
+        assert_eq!(c.get(7, 7, NIL), None, "every entry is dead");
+        let slots = c.slots.as_ptr();
+        c.reset_for(2048);
+        assert_eq!(c.slots.as_ptr(), slots, "an unchanged size keeps its array");
+        c.reset_for(0);
+        assert_eq!(c.stats().capacity, CACHE_MIN as u64);
+        c.reset_for(usize::MAX / 4);
+        assert_eq!(c.stats().capacity, CACHE_MAX as u64);
+        assert_eq!(c.stats().slots_swept, 0);
+    }
+
+    #[test]
+    fn scratch_map_trim_frees_only_an_oversized_store() {
+        let mut s = ScratchMap::default();
+        s.begin(4096);
+        s.trim_to(1024);
+        assert_eq!(s.stamp.len(), 4096, "within 4 × the 1024 floor");
+        s.begin(100_000);
+        s.set(99_999, 3);
+        s.trim_to(25_000);
+        assert_eq!(s.stamp.len(), 100_000, "within 4 × live");
+        s.trim_to(1000);
+        assert_eq!(s.held_bytes(), 0, "an oversized store is freed");
+        s.begin(10);
+        assert_eq!(s.get(99_999), None);
+        s.set(5, 1);
+        assert_eq!(s.get(5), Some(1), "the next use regrows it");
     }
 
     #[test]

@@ -92,6 +92,111 @@ fn check_keeps(
     Ok(())
 }
 
+/// Variables of the operation-sequence property: enough for a comb of
+/// pair products to outgrow the 256-slot cache floor.
+const WIDE: u32 = 16;
+
+/// One step of a random operation sequence over a pool of functions.
+/// Pool indices are taken modulo the pool's length.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Push the sum of `x_(s+i)·x_(s+i+WIDE/2)` over `i < k` (indices
+    /// modulo `WIDE`): exponential in `k` under the identity order.
+    Comb(u32, u32),
+    /// Push `pool[i]` and / or / xor (`op` 0 / 1 / 2) `pool[j]`.
+    Apply(u8, usize, usize),
+    /// Push `∃x_v.pool[i]`.
+    Exists(usize, u32),
+    /// Push `∃x_v.(pool[i]·pool[j])`.
+    AndExists(usize, usize, u32),
+    /// Push `pool[i]` with `x_v` fixed to the constant.
+    Restrict(usize, u32, bool),
+    /// Push `pool[i]` with `x_v` replaced by `pool[j]`.
+    Compose(usize, u32, usize),
+    /// Drop `pool[i]` (never the last entry), so a collection frees it.
+    Forget(usize),
+    /// Collect the manager down to the pool (if it collects at all).
+    Gc,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0..WIDE, 1..WIDE / 2 + 1).prop_map(|(s, k)| Step::Comb(s, k)),
+        (0u8..3, any::<usize>(), any::<usize>()).prop_map(|(op, i, j)| Step::Apply(op, i, j)),
+        (any::<usize>(), 0..WIDE).prop_map(|(i, v)| Step::Exists(i, v)),
+        (any::<usize>(), any::<usize>(), 0..WIDE).prop_map(|(i, j, v)| Step::AndExists(i, j, v)),
+        (any::<usize>(), 0..WIDE, any::<bool>()).prop_map(|(i, v, b)| Step::Restrict(i, v, b)),
+        (any::<usize>(), 0..WIDE, any::<usize>()).prop_map(|(i, v, j)| Step::Compose(i, v, j)),
+        any::<usize>().prop_map(Step::Forget),
+        // Listed twice: a collection is twice as likely as any other step.
+        Just(Step::Gc),
+        Just(Step::Gc),
+    ]
+}
+
+/// Whether `f` in `a` and `g` in `b` are the same function. Neither
+/// manager reorders, so equal functions have isomorphic graphs.
+fn same_function(a: &BddManager, f: NodeId, b: &BddManager, g: NodeId) -> bool {
+    let mut seen = std::collections::HashSet::new();
+    let mut stack = vec![(f, g)];
+    while let Some((f, g)) = stack.pop() {
+        if !seen.insert((f.raw(), g.raw())) {
+            continue;
+        }
+        match (a.is_const(f), b.is_const(g)) {
+            (true, true) if (f == TRUE) == (g == TRUE) => {}
+            (false, false) if a.var_of(f) == b.var_of(g) => {
+                stack.push((a.lo(f), b.lo(g)));
+                stack.push((a.hi(f), b.hi(g)));
+            }
+            _ => return false,
+        }
+    }
+    true
+}
+
+/// Runs `step` on `mgr` over `pool`; `Gc` collects only when `collects`.
+fn run_step(mgr: &mut BddManager, pool: &mut Vec<NodeId>, step: &Step, collects: bool) {
+    let at = |i: usize| pool[i % pool.len()];
+    let f = match *step {
+        Step::Comb(s, k) => {
+            let mut f = FALSE;
+            for i in s..s + k {
+                let x = mgr.var(Var(i % WIDE));
+                let y = mgr.var(Var((i + WIDE / 2) % WIDE));
+                let product = mgr.and(x, y);
+                f = mgr.or(f, product);
+            }
+            f
+        }
+        Step::Apply(op, i, j) => match op {
+            0 => mgr.and(at(i), at(j)),
+            1 => mgr.or(at(i), at(j)),
+            _ => mgr.xor(at(i), at(j)),
+        },
+        Step::Exists(i, v) => mgr.exists(at(i), &[Var(v)]),
+        Step::AndExists(i, j, v) => {
+            let cube = mgr.var(Var(v));
+            mgr.and_exists(at(i), at(j), cube)
+        }
+        Step::Restrict(i, v, value) => mgr.restrict(at(i), Var(v), value),
+        Step::Compose(i, v, j) => mgr.compose(at(i), Var(v), at(j)),
+        Step::Forget(i) => {
+            if pool.len() > 1 {
+                pool.remove(i % pool.len());
+            }
+            return;
+        }
+        Step::Gc => {
+            if collects {
+                *pool = mgr.gc(pool);
+            }
+            return;
+        }
+    };
+    pool.push(f);
+}
+
 proptest! {
     #[test]
     fn bdd_agrees_with_interpreter(expr in arb_expr()) {
@@ -302,6 +407,26 @@ proptest! {
             let expect = minterms.contains(&(idx as u64));
             prop_assert_eq!(mgr.eval(f, &a), expect);
         }
+    }
+
+    #[test]
+    fn interleaved_gcs_never_change_a_result(steps in prop::collection::vec(arb_step(), 1..40)) {
+        // Each gc resizes the caches to the live arena; a manager that
+        // never collects keeps its grown ones. Both must compute the same
+        // functions, node for node.
+        let mut collected = BddManager::new(WIDE as usize);
+        let mut plain = BddManager::new(WIDE as usize);
+        let mut pool_c: Vec<NodeId> = (0..WIDE).map(|v| collected.var(Var(v))).collect();
+        let mut pool_p: Vec<NodeId> = (0..WIDE).map(|v| plain.var(Var(v))).collect();
+        for step in &steps {
+            run_step(&mut collected, &mut pool_c, step, true);
+            run_step(&mut plain, &mut pool_p, step, false);
+        }
+        prop_assert_eq!(plain.engine_stats().gc_runs, 0);
+        for (&f, &g) in pool_c.iter().zip(&pool_p) {
+            prop_assert!(same_function(&collected, f, &plain, g));
+        }
+        prop_assert!(collected.check_integrity().is_ok());
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! every entry with an acceptance record but no completion record is
 //! resubmitted (resuming from its latest checkpoint when one exists), so a
 //! `SIGKILL` loses no accepted request — the chaos harness asserts exactly
-//! this. A later request for an already-completed spec replays the spooled
-//! response, but only after it passes the same artifact audit a cache hit
-//! must pass.
+//! this. An entry whose request carried a deadline is the exception: the
+//! deadline passed during the outage, so the entry is completed with a
+//! `deadline` error record instead of being run. A later request for an
+//! already-completed spec replays the spooled response, but only after it
+//! passes the same artifact audit a cache hit must pass.
 //!
 //! # Shutdown
 //!
@@ -329,6 +331,8 @@ fn quarantine(vfs: &dyn Vfs, path: &Path, why: &str) {
 }
 
 /// Resubmits every accepted-but-incomplete spool entry. Returns the count.
+/// An entry whose request carried a deadline is completed with a
+/// `deadline` error record instead, and is not counted.
 ///
 /// Salvage rules for a hostile disk: a torn `response.json` is quarantined
 /// and its entry re-executed from the acceptance record; an unparsable
@@ -374,9 +378,34 @@ fn recover_spool(inner: &Arc<Inner>, dir: &Path) -> u64 {
             );
             continue;
         };
-        let RequestBody::Synth { spec, .. } = request.body else {
+        let RequestBody::Synth {
+            spec, deadline_ms, ..
+        } = request.body
+        else {
             continue;
         };
+        if deadline_ms.is_some() {
+            // A relative deadline cannot outlive the daemon that accepted
+            // it: the entry is completed with a `deadline` error instead
+            // of computing (and caching) a result its client was promised
+            // would be shed. A failed write leaves it for the next start.
+            let mut response = Response::failure(
+                request.id,
+                ErrorCode::Deadline,
+                "deadline passed while the daemon was down",
+            );
+            response.spec_hash = Some(spec.hash_hex());
+            match vfs::write_atomic(
+                spool_vfs.as_ref(),
+                &path,
+                "response.json",
+                &response.to_bytes(),
+            ) {
+                Ok(()) => inner.store.health.mark_ok(),
+                Err(_) => inner.store.health.mark_fault(),
+            }
+            continue;
+        }
         let hash = spec.hash();
         lock(&inner.store.pending).insert(hash);
         let mut attempt = 0u32;
@@ -384,8 +413,8 @@ fn recover_spool(inner: &Arc<Inner>, dir: &Path) -> u64 {
             let job = Job {
                 id: format!("recovered-{:016x}", hash),
                 spec: spec.clone(),
-                // The original relative deadline is meaningless after a
-                // restart; recovered jobs run to completion.
+                // Only deadline-free entries get here, and they run to
+                // completion.
                 deadline: None,
                 ckpt_dir: Some(path.join("ckpt")),
                 spool_entry: Some(path.clone()),
@@ -581,7 +610,7 @@ fn handle_synth(
                     id: id.clone(),
                     body: RequestBody::Synth {
                         spec: spec.clone(),
-                        deadline_ms: None,
+                        deadline_ms,
                         checkpoint,
                     },
                 };

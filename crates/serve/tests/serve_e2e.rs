@@ -570,3 +570,63 @@ fn torn_spool_response_is_quarantined_and_recomputed() {
     assert_eq!(stats.recovered, 1, "the torn entry was re-executed");
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+#[test]
+fn a_deadline_request_recovered_after_a_crash_is_not_computed() {
+    // A kill between a zero-deadline request's acceptance record and its
+    // shed leaves an entry that carries the deadline and no completion.
+    let spool = temp_dir("deadline-recovery");
+    let entry = spool.join(format!("req-{}", tiny_spec().hash_hex()));
+    std::fs::create_dir_all(&entry).expect("spool entry");
+    let mut accepted = synth_request("dz", tiny_spec());
+    if let RequestBody::Synth { deadline_ms, .. } = &mut accepted.body {
+        *deadline_ms = Some(0);
+    }
+    std::fs::write(entry.join("request.json"), accepted.to_bytes()).expect("acceptance record");
+
+    // The deadline passed during the outage: the restarted daemon records
+    // a `deadline` completion instead of running the entry.
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        spool_dir: Some(spool.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("restart on the spool");
+    let record = loop {
+        if let Ok(bytes) = std::fs::read(entry.join("response.json")) {
+            break Response::from_bytes(&bytes).expect("parseable completion record");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(record.status, Status::Error);
+    assert_eq!(
+        record.error.map(|(code, _)| code),
+        Some(ErrorCode::Deadline)
+    );
+
+    // So nothing was cached for the spec, and a later zero-deadline
+    // request for it is shed as the contract says.
+    let mut late = synth_request("dz2", tiny_spec());
+    if let RequestBody::Synth { deadline_ms, .. } = &mut late.body {
+        *deadline_ms = Some(0);
+    }
+    let reply = Client::connect(server.local_addr()).roundtrip(&late);
+    assert!(
+        !reply.cached,
+        "a recovered deadline entry must not fill the cache"
+    );
+    assert_eq!(
+        reply.error.map(|(code, _)| code),
+        Some(ErrorCode::Deadline),
+        "status {:?}",
+        reply.status
+    );
+
+    let shutdown = Request {
+        id: "q".into(),
+        body: RequestBody::Shutdown(ShutdownMode::Drain),
+    };
+    let _ = Client::connect(server.local_addr()).roundtrip_raw(&shutdown.to_bytes());
+    assert_eq!(server.wait().recovered, 0, "nothing was resubmitted");
+    let _ = std::fs::remove_dir_all(&spool);
+}

@@ -459,9 +459,10 @@ fn print_engine_stats(stats: &bddcf::bdd::EngineStats) {
     let lookups = stats.unique_lookups.max(1);
     let cache_lookups = (cache.hits + cache.misses).max(1);
     println!(
-        "engine:   peak {} nodes ({} KiB arena)",
+        "engine:   peak {} nodes ({} KiB arena), {} KiB held now",
         stats.peak_nodes,
-        stats.peak_arena_bytes / 1024
+        stats.peak_arena_bytes / 1024,
+        stats.held_bytes / 1024
     );
     println!(
         "          unique table {}/{} live/buckets, {:.2} mean probes/lookup",

@@ -92,6 +92,18 @@ fn stats_reports_all_treatments() {
     assert!(text.contains("ISF:"));
     assert!(text.contains("Alg 3.1:"));
     assert!(text.contains("Alg 3.3:"));
+    // The engine block reports what the manager holds next to its peak.
+    let engine = text
+        .lines()
+        .find(|line| line.starts_with("engine:"))
+        .unwrap_or_else(|| panic!("no engine line in {text}"));
+    let held: u64 = engine
+        .split(", ")
+        .nth(1)
+        .and_then(|tail| tail.strip_suffix(" KiB held now"))
+        .and_then(|kib| kib.parse().ok())
+        .unwrap_or_else(|| panic!("no held figure in {engine:?}"));
+    assert!(held > 0, "{engine}");
 }
 
 #[test]
