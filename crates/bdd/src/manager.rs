@@ -198,25 +198,14 @@ pub struct BddManager {
     gc_runs: u64,
     /// Wall-clock nanoseconds spent inside those passes.
     gc_pause_ns: u64,
+    /// In-place adjacent swaps (reorder.rs), and the live nodes they
+    /// rewrote.
+    swaps: u64,
+    swap_rewrites: u64,
     /// Reusable stamped maps (reorder.rs), loaned out per use: the memo of
     /// [`swap_adjacent`](Self::swap_adjacent)'s rebuild (`SWAP_SCRATCH`)
-    /// and the visit-set of the sifter's crossing sets and the in-place
-    /// swap's reachability check (`WIDTH_SCRATCH`).
+    /// and the visit-set of the sifter's crossing sets (`WIDTH_SCRATCH`).
     scratch: [ScratchMap; 2],
-    /// Head of the per-variable node list: `var_heads[v]` is the arena
-    /// index of one node labelled `v` (or `NIL`), and `var_next[i]` chains
-    /// to the next node with the same label. The in-place adjacent swap
-    /// (reorder.rs) enumerates the upper level of a swapped pair through
-    /// these lists instead of scanning the arena. Maintained by every node
-    /// append and rebuilt wholesale on [`gc`](Self::gc) and snapshot
-    /// restore; entries for garbage nodes are allowed (readers skip them).
-    var_heads: Vec<u32>,
-    /// Per-node successor in the [`var_heads`](Self::var_heads) chains,
-    /// parallel to `nodes` (terminal entries unused).
-    var_next: Vec<u32>,
-    /// Reusable buffer for the in-place swap's snapshot of the upper
-    /// level's chain (reorder.rs), kept to avoid a per-swap allocation.
-    swap_chain: Vec<u32>,
     var_at_level: Vec<Var>,
     level_of_var: Vec<u32>,
     budget: Budget,
@@ -265,10 +254,9 @@ impl BddManager {
             peak_nodes: 2,
             gc_runs: 0,
             gc_pause_ns: 0,
+            swaps: 0,
+            swap_rewrites: 0,
             scratch: Default::default(),
-            var_heads: vec![NIL; num_vars],
-            var_next: vec![NIL; 2],
-            swap_chain: Vec::new(),
             var_at_level: (0..num_vars as u32).map(Var).collect(),
             level_of_var: (0..num_vars as u32).collect(),
             budget: Budget::default(),
@@ -300,7 +288,6 @@ impl BddManager {
         let v = Var(self.level_of_var.len() as u32);
         self.level_of_var.push(self.var_at_level.len() as u32);
         self.var_at_level.push(v);
-        self.var_heads.push(NIL);
         v
     }
 
@@ -332,51 +319,12 @@ impl BddManager {
     }
 
     // ---------------------------------------------------------------------
-    // Per-variable node lists (in-place swap support, reorder.rs)
+    // In-place swap support (reorder.rs)
     // ---------------------------------------------------------------------
-
-    /// Recomputes every per-variable chain from the arena in one ascending
-    /// pass (push-front, so chains run in descending arena order —
-    /// deterministic). Called after any wholesale arena rebuild.
-    fn rebuild_var_lists(&mut self) {
-        self.var_heads.clear();
-        self.var_heads.resize(self.num_vars(), NIL);
-        self.var_next = vec![NIL; self.nodes.len()]; // shrinks after a gc
-        for i in 2..self.nodes.len() {
-            let var = self.nodes[i].var as usize;
-            self.var_next[i] = self.var_heads[var];
-            self.var_heads[var] = i as u32;
-        }
-    }
-
-    /// First arena index of the chain of nodes labelled `var` (`NIL` when
-    /// empty). The chain may contain garbage nodes; callers filter by
-    /// tabled-ness.
-    pub(crate) fn var_list_head(&self, var: Var) -> u32 {
-        self.var_heads[var.0 as usize]
-    }
-
-    /// Successor of arena index `raw` in its per-variable chain.
-    pub(crate) fn var_list_next(&self, raw: u32) -> u32 {
-        self.var_next[raw as usize]
-    }
-
-    /// Empties the chain for `var` (the in-place swap re-threads it).
-    pub(crate) fn var_list_reset(&mut self, var: Var) {
-        self.var_heads[var.0 as usize] = NIL;
-    }
-
-    /// Pushes arena index `raw` onto the front of `var`'s chain. The
-    /// caller guarantees `raw` is not already threaded anywhere.
-    pub(crate) fn var_list_push(&mut self, var: Var, raw: u32) {
-        self.var_next[raw as usize] = self.var_heads[var.0 as usize];
-        self.var_heads[var.0 as usize] = raw;
-    }
 
     /// Rewrites the node at `raw` to `(var, lo, hi)` without moving it.
     /// Unique-table linkage is the caller's job: the node must be unlinked
-    /// before the rewrite and re-inserted (or deliberately left untabled)
-    /// after.
+    /// before the rewrite and re-inserted after.
     pub(crate) fn set_node_in_place(&mut self, raw: u32, var: Var, lo: NodeId, hi: NodeId) {
         self.check_brand(lo);
         self.check_brand(hi);
@@ -394,10 +342,9 @@ impl BddManager {
         self.unique.unlink_checked(&mut self.nodes, raw)
     }
 
-    /// Counter-free unique-table probe by raw key (in-place swap collision
-    /// check).
-    pub(crate) fn unique_find_raw(&self, var: Var, lo: u32, hi: u32) -> Option<u32> {
-        self.unique.find_quiet(&self.nodes, var.0, lo, hi)
+    /// Counted unique-table probe by key (in-place swap collision check).
+    pub(crate) fn unique_find(&mut self, var: Var, lo: NodeId, hi: NodeId) -> Option<u32> {
+        self.unique.find(&self.nodes, var.0, lo.0, hi.0)
     }
 
     /// Links the (already rewritten) node at `raw` into the unique table.
@@ -405,53 +352,20 @@ impl BddManager {
     /// in-place swap only re-inserts nodes it just unlinked, so the load
     /// factor never rises across the call.
     pub(crate) fn unique_insert_raw(&mut self, raw: u32) {
+        let n = self.nodes[raw as usize];
+        debug_assert!(
+            self.unique
+                .find_quiet(&self.nodes, n.var, n.lo.0, n.hi.0)
+                .is_none(),
+            "one tabled node per key"
+        );
         self.unique.insert(&mut self.nodes, raw);
     }
 
-    /// Takes the reusable chain buffer for the in-place swap (cleared).
-    pub(crate) fn take_swap_chain(&mut self) -> Vec<u32> {
-        let mut chain = std::mem::take(&mut self.swap_chain);
-        chain.clear();
-        chain
-    }
-
-    /// Returns the chain buffer taken by
-    /// [`take_swap_chain`](Self::take_swap_chain).
-    pub(crate) fn put_swap_chain(&mut self, chain: Vec<u32>) {
-        self.swap_chain = chain;
-    }
-
-    /// Whether the node at arena index `target` is reachable from `roots`.
-    /// Used by the in-place swap's rare key-collision tie-break, where
-    /// liveness decides which of two same-function nodes stays tabled.
-    pub(crate) fn reaches(&mut self, roots: &[NodeId], target: u32) -> bool {
-        let mut seen = self.take_scratch(WIDTH_SCRATCH);
-        let mut stack: Vec<u32> = Vec::new();
-        for &r in roots {
-            if seen.get(r.0).is_none() {
-                seen.set(r.0, 0);
-                stack.push(r.0);
-            }
-        }
-        let mut found = false;
-        while let Some(n) = stack.pop() {
-            if n == target {
-                found = true;
-                break;
-            }
-            let node = self.nodes[n as usize];
-            if node.var == TERMINAL_VAR {
-                continue;
-            }
-            for child in [node.lo.0, node.hi.0] {
-                if seen.get(child).is_none() {
-                    seen.set(child, 0);
-                    stack.push(child);
-                }
-            }
-        }
-        self.put_scratch(WIDTH_SCRATCH, seen);
-        found
+    /// Records one in-place swap that rewrote `rewrites` live nodes.
+    pub(crate) fn count_swap(&mut self, rewrites: u64) {
+        self.swaps += 1;
+        self.swap_rewrites += rewrites;
     }
 
     /// Current level (position in the order, `0` = top) of `var`.
@@ -899,7 +813,6 @@ impl BddManager {
         if cap != mgr.unique.capacity_log2() {
             mgr.unique.rebuild(&mut mgr.nodes, cap);
         }
-        mgr.rebuild_var_lists();
         mgr.peak_nodes = mgr.nodes.len();
         Ok(mgr)
     }
@@ -955,10 +868,6 @@ impl BddManager {
             hi,
             next: NIL,
         });
-        // xlint: allow(XL104): `var_heads` spans `num_vars` and `var` indexes the order permutation in `level_of` above — in range by the manager representation invariant
-        self.var_next.push(self.var_heads[var.0 as usize]);
-        // xlint: allow(XL104): same in-range `var` as the push above
-        self.var_heads[var.0 as usize] = raw;
         self.unique.insert(&mut self.nodes, raw);
         if self.nodes.len() > self.peak_nodes {
             self.peak_nodes = self.nodes.len();
@@ -1789,7 +1698,6 @@ impl BddManager {
     /// Counters are monotone over this manager generation; cloning a
     /// manager clones its counters.
     pub fn engine_stats(&self) -> EngineStats {
-        let arena = held(&self.nodes) + held(&self.var_next) + held(&self.var_heads);
         let caches: u64 = self.caches.iter().map(ComputedTable::held_bytes).sum();
         let scratch: u64 = self.scratch.iter().map(ScratchMap::held_bytes).sum();
         EngineStats {
@@ -1805,7 +1713,9 @@ impl BddManager {
             compose: self.caches[COMPOSE].stats(),
             gc_runs: self.gc_runs,
             gc_pause_ns: self.gc_pause_ns,
-            held_bytes: arena + self.unique.held_bytes() + caches + scratch,
+            swaps: self.swaps,
+            swap_rewrites: self.swap_rewrites,
+            held_bytes: held(&self.nodes) + self.unique.held_bytes() + caches + scratch,
         }
     }
 
@@ -1900,9 +1810,9 @@ impl BddManager {
             new_unique.rebuild(&mut new_nodes, cap);
         }
         let live = new_unique.len();
+        new_unique.continue_counters(&self.unique);
         self.nodes = new_nodes;
         self.unique = new_unique;
-        self.rebuild_var_lists();
         for cache in &mut self.caches {
             cache.reset_for(live);
         }
@@ -2880,6 +2790,27 @@ mod tests {
         // The shrunken caches serve a fresh run of the same workload.
         assert_eq!(cache_workload(&mut mgr, n), before_truth);
         mgr.check_integrity().expect("post-gc manager is sound");
+    }
+
+    #[test]
+    fn gc_carries_the_unique_table_counters_over() {
+        // The counters are monotone: a gc replaces the table, not them.
+        let mut mgr = BddManager::new(8);
+        let mut f = mgr.var(Var(0));
+        for i in 1..8 {
+            let x = mgr.var(Var(i));
+            f = if i % 2 == 0 {
+                mgr.and(f, x)
+            } else {
+                mgr.xor(f, x)
+            };
+        }
+        let before = mgr.engine_stats();
+        assert!(before.unique_lookups > 0 && before.unique_probes > 0);
+        let _ = mgr.gc(&[f]);
+        let after = mgr.engine_stats();
+        assert_eq!(after.unique_lookups, before.unique_lookups);
+        assert_eq!(after.unique_probes, before.unique_probes);
     }
 
     #[test]

@@ -13,36 +13,47 @@
 //! Every reorder — [`BddManager::sift`], [`BddManager::legalize_order`],
 //! [`BddManager::move_var_to_level`] and
 //! [`BddManager::rebuild_order`] — runs on one *in-place* adjacent swap
-//! (`swap_adjacent_in_place`, crate-private): nodes at the upper level are
-//! rewritten where they sit, threaded through the manager's per-variable
-//! chains, so ancestors and roots keep their ids and a swap costs O(nodes
-//! at the swapped level). The arena is temporarily *staged* — rewritten
-//! nodes point at higher-indexed children and displaced garbage lingers —
-//! until the next [`BddManager::gc`] recompacts it; every public entry
-//! point collects before returning, so callers never observe a staged
-//! arena. The functional [`BddManager::swap_adjacent`] remains as the
-//! reference the tests compare against; no reorder uses it.
-//!
-//! The sifter prices each swap with per-cut *crossing sets*: `S(c)` is the
-//! set of distinct non-`FALSE` nodes hanging below cut `c`, so `|S(c)|`
-//! is the Definition 3.5 width and the live nodes at level `l` are the
-//! members of `S(l)` at that level. By canonicity `S(c)` holds the nodes
-//! of the distinct non-zero cofactors with respect to the *set* of
-//! variables above cut `c`. The invariant: an in-place swap at level `l`
-//! keeps every live id and its function, and every cut except `l + 1`
-//! keeps its set of variables above, so every `S(k)` with `k ≠ l + 1` is
-//! unchanged as a set of ids, and
+//! (`swap_in_place`, crate-private) over per-cut *crossing sets*: `S(c)`
+//! is the set of distinct non-`FALSE` nodes hanging below cut `c`, so
+//! `|S(c)|` is the Definition 3.5 width, and the members of `S(l)` at
+//! level `l` are exactly the live nodes of that level (their parents all
+//! sit above it). By canonicity `S(c)` holds the nodes of the distinct
+//! non-zero cofactors with respect to the *set* of variables above cut
+//! `c`. The swap of `l` and `l + 1` rewrites those live nodes where they
+//! sit, so every live id keeps its function, and every cut except `l + 1`
+//! keeps its set of variables above: every `S(k)` with `k ≠ l + 1` is
+//! unchanged as a set of ids, and the swap ends by recomputing
 //! `S(l + 1) = (S(l) minus its level-l nodes) ∪ (their non-FALSE children)`.
-//! A swap is therefore priced in O(width). The sets are built in one
-//! sweep when a variable starts sifting and rebuilt after every `gc`,
-//! which renumbers the nodes; they are never carried across one.
+//! A swap therefore costs and is priced in O(width). The sets are built in
+//! one sweep when a walk starts and rebuilt after every `gc`, which
+//! renumbers the nodes; they are never carried across one.
 //!
-//! All operation caches are cleared on a swap: the entries stay
-//! function-correct, but clearing is an O(1) generation bump and keeps
-//! every cached id accountable to the live arena.
+//! The swap never reads or rewrites garbage. That is sound because:
+//!
+//! 1. a member of `S(l)` at level `l` is live, hence tabled, so unlinking
+//!    it before its rewrite always succeeds (`debug_assert`-ed);
+//! 2. if the rewritten key `(v, G0, G1)` is already tabled by some `H`,
+//!    `H` is garbage — before the swap `u` sat above `v`, so a `v`-node
+//!    with a `u`-labelled child broke the order and cannot have been live
+//!    — and the swap unlinks it unconditionally;
+//! 3. garbage keeps its fields, so it may stay tabled under a key that
+//!    breaks the current order, but `mk` never returns such a node: it
+//!    builds its key from live children below the variable, and a tabled
+//!    node whose key matches has exactly the fields `mk` would build, so
+//!    finding it is a sound resurrection;
+//! 4. nothing else reads the arena mid-walk: every public reorder collects
+//!    before returning, and the debug cost recount walks from the roots.
+//!
+//! Until that collection the arena is *staged*: rewritten nodes point at
+//! higher-indexed children and garbage lingers. The functional
+//! [`BddManager::swap_adjacent`] remains as the reference the tests compare
+//! against; no reorder uses it. All operation caches are cleared on a
+//! swap: the entries stay function-correct, but clearing is an O(1)
+//! generation bump and keeps every cached id accountable to the live
+//! arena.
 
 use crate::manager::{BddManager, NodeId, Var, FALSE, SWAP_SCRATCH, WIDTH_SCRATCH};
-use crate::table::{ScratchMap, NIL};
+use crate::table::ScratchMap;
 
 /// Cost function minimised by [`BddManager::sift`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -139,81 +150,40 @@ impl BddManager {
         result
     }
 
-    /// Swaps the variables at `level` and `level + 1` **in place**: nodes
-    /// labelled with the upper variable that interact with the lower one
-    /// are rewritten where they sit, so every ancestor — including every
-    /// entry of `roots` — keeps both its id and its function, and the swap
-    /// costs O(nodes at the swapped level) instead of O(everything above
-    /// it). Every reorder runs on it: a sift walk is almost entirely swaps,
-    /// and the functional [`swap_adjacent`](Self::swap_adjacent) rebuilds
-    /// the whole above-cut region per swap.
-    ///
-    /// The price is a *staged* arena: rewritten nodes point at children
-    /// with larger indices, and displaced nodes linger as garbage (some
-    /// untabled, some with stale shapes), until the next [`gc`]
-    /// (Self::gc) restores the children-precede-parents layout. Callers
-    /// must therefore collect before handing the manager back to code that
-    /// relies on arena order (snapshots) or full-arena integrity; every
-    /// public reorder does so before returning. `roots` is consulted only
-    /// by the rare key-collision tie-break (see below) — the ids
-    /// themselves are never remapped.
-    ///
-    /// Per upper-level node `X = (u, f0, f1)` threaded on `u`'s chain:
-    ///
-    /// 1. No `v`-labelled child → `X` merely slides down one level;
-    ///    untouched.
-    /// 2. Cofactor frontier not strictly below the pair → `X` is stale
-    ///    garbage from an earlier in-place swap (a live node's two-level
-    ///    frontier always clears the pair); it is untabled so `mk` can
-    ///    never resurrect it, and skipped.
-    /// 3. `X` absent from the unique table → garbage displaced by an
-    ///    earlier collision; skipped.
-    /// 4. Otherwise `X` is unlinked *first* (so the `mk`s cannot find it
-    ///    under its old key), its swapped cofactors `G0 = mk(u, f00, f10)`
-    ///    and `G1 = mk(u, f01, f11)` are built, and `X` is rewritten to
-    ///    `(v, G0, G1)`. If that key is already tabled by some `H`, the two
-    ///    denote the same function, so at most one is live: reachability
-    ///    from `roots` decides which stays tabled (the loser becomes
-    ///    untabled garbage).
+    /// Swaps the variables at `level` and `level + 1` **in place** and
+    /// recomputes `S(level + 1)` in `sets`, which must be current for the
+    /// manager (see the module docs). Each live upper-level node
+    /// `X = (u, f0, f1)` with a `v`-labelled child is unlinked, its swapped
+    /// cofactors `G0 = mk(u, f00, f10)` and `G1 = mk(u, f01, f11)` are
+    /// built, and `X` is rewritten to `(v, G0, G1)` and relinked, displacing
+    /// a garbage twin that holds the key; every other node slides down a
+    /// level untouched. Ancestors and roots keep their ids, and the swap
+    /// costs O(nodes at the swapped level).
     ///
     /// # Panics
     ///
     /// Panics if `level + 1` is not a valid level.
-    pub(crate) fn swap_adjacent_in_place(&mut self, level: u32, roots: &[NodeId]) {
+    fn swap_in_place(&mut self, sets: &mut CrossingSets, level: u32) {
         let t = self.num_vars() as u32;
-        assert!(
-            level + 1 < t,
-            "swap_adjacent_in_place: level {level} out of range"
-        );
+        assert!(level + 1 < t, "swap_in_place: level {level} out of range");
         let u = self.var_at(level);
         let v = self.var_at(level + 1);
         // Install the new order first so mk() builds valid nodes: u now
         // sits at `level + 1`, v at `level`.
         self.swap_order_entries(u, v);
         self.clear_caches();
-        let cut = level + 1;
-        // Snapshot u's chain and re-thread it from scratch: rewritten
-        // nodes move to v's chain, everything else stays on u's. Fresh
-        // nodes the mk()s mint below are u-labelled and thread themselves
-        // onto the (already reset) chain as they are created.
-        let mut chain = self.take_swap_chain();
-        let mut cur = self.var_list_head(u);
-        while cur != NIL {
-            chain.push(cur);
-            cur = self.var_list_next(cur);
-        }
-        self.var_list_reset(u);
-        for &raw in &chain {
+        let mut rewrites = 0;
+        for &raw in &sets.sets[level as usize] {
             let x = self.brand(raw);
-            debug_assert_eq!(self.var_of(x), u);
+            if self.is_const(x) || self.var_of(x) != u {
+                continue; // hangs below the cut from higher up
+            }
             let lo = self.lo(x);
             let hi = self.hi(x);
             let lo_is_v = !self.is_const(lo) && self.var_of(lo) == v;
             let hi_is_v = !self.is_const(hi) && self.var_of(hi) == v;
             if !lo_is_v && !hi_is_v {
-                // Case 1: no interaction; the node slides down one level.
-                self.var_list_push(u, raw);
-                continue;
+                continue; // no interaction: X slides down one level
             }
             let (f00, f01) = if lo_is_v {
                 (self.lo(lo), self.hi(lo))
@@ -225,49 +195,25 @@ impl BddManager {
             } else {
                 (hi, hi)
             };
-            if self.level_of_node(f00) <= cut
-                || self.level_of_node(f01) <= cut
-                || self.level_of_node(f10) <= cut
-                || self.level_of_node(f11) <= cut
-            {
-                // Case 2: stale garbage; untable it for good.
-                let _ = self.unique_unlink_checked(raw);
-                self.var_list_push(u, raw);
-                continue;
-            }
-            if !self.unique_unlink_checked(raw) {
-                // Case 3: displaced garbage.
-                self.var_list_push(u, raw);
-                continue;
-            }
+            // Unlink first, so the mk()s cannot find X under its old key.
+            let tabled = self.unique_unlink_checked(raw);
+            debug_assert!(tabled, "a live node is always tabled");
             let g0 = self.mk(u, f00, f10);
             let g1 = self.mk(u, f01, f11);
             // X depends on v (a child is v-labelled), so its v-cofactors
             // differ: the rewritten node is never redundant.
             debug_assert_ne!(g0, g1);
-            if let Some(h) = self.unique_find_raw(v, g0.0, g1.0) {
-                debug_assert_ne!(h, raw);
-                if self.reaches(roots, raw) {
-                    // X is live, so the incumbent twin cannot be (one
-                    // tabled representative per live function).
-                    debug_assert!(!self.reaches(roots, h));
-                    let unlinked = self.unique_unlink_checked(h);
-                    debug_assert!(unlinked);
-                    self.set_node_in_place(raw, v, g0, g1);
-                    self.unique_insert_raw(raw);
-                    self.var_list_push(v, raw);
-                } else {
-                    // X is garbage; leave it untabled with its old shape.
-                    self.var_list_push(u, raw);
-                }
-            } else {
-                self.set_node_in_place(raw, v, g0, g1);
-                self.unique_insert_raw(raw);
-                self.var_list_push(v, raw);
+            if let Some(h) = self.unique_find(v, g0, g1) {
+                // A garbage twin (module docs, point 2).
+                let tabled = self.unique_unlink_checked(h);
+                debug_assert!(tabled);
             }
+            self.set_node_in_place(raw, v, g0, g1);
+            self.unique_insert_raw(raw);
+            rewrites += 1;
         }
-        self.put_swap_chain(chain);
-        self.clear_caches();
+        self.count_swap(rewrites);
+        sets.refresh_below(self, level);
     }
 
     fn swap_order_entries(&mut self, u: Var, v: Var) {
@@ -365,15 +311,16 @@ impl BddManager {
         roots: &[NodeId],
         moves: impl IntoIterator<Item = (Var, u32)>,
     ) -> Vec<NodeId> {
+        let mut sets = CrossingSets::build(self, roots);
         for (var, level) in moves {
-            self.walk_in_place(var, level, roots);
+            self.walk_in_place(&mut sets, var, level);
         }
         self.gc(roots)
     }
 
     /// Walks `var` to `target_level` by in-place swaps, pricing nothing.
     /// The arena stays staged until the caller collects.
-    fn walk_in_place(&mut self, var: Var, target_level: u32, roots: &[NodeId]) {
+    fn walk_in_place(&mut self, sets: &mut CrossingSets, var: Var, target_level: u32) {
         let mut level = self.level_of(var);
         while level != target_level {
             let next = if target_level > level {
@@ -381,7 +328,7 @@ impl BddManager {
             } else {
                 level - 1
             };
-            self.swap_adjacent_in_place(level.min(next), roots);
+            self.swap_in_place(sets, level.min(next));
             level = next;
         }
     }
@@ -543,10 +490,8 @@ impl BddManager {
             let mut level = self.level_of(var);
             while level != target {
                 let next = if target > level { level + 1 } else { level - 1 };
-                let swapped = level.min(next);
-                self.swap_adjacent_in_place(swapped, &roots);
+                self.swap_in_place(&mut sets, level.min(next));
                 level = next;
-                sets.refresh_below(self, swapped);
                 let c = sets.cost(cost);
                 debug_assert_eq!(c, self.reorder_cost(&roots, cost));
                 // Strictly-better keeps the first (closest) optimum.
@@ -564,7 +509,7 @@ impl BddManager {
         }
         // Park at the best position, in place like the walk itself. The
         // arena stays staged until the caller (sift_pass) collects.
-        self.walk_in_place(var, best_level, &roots);
+        self.walk_in_place(&mut sets, var, best_level);
         roots
     }
 
@@ -582,8 +527,7 @@ impl BddManager {
     ) -> Vec<NodeId> {
         let mut sets = CrossingSets::build(self, roots);
         for &level in levels {
-            self.swap_adjacent_in_place(level, roots);
-            sets.refresh_below(self, level);
+            self.swap_in_place(&mut sets, level);
             let widths: Vec<usize> = sets.sets.iter().map(Vec::len).collect();
             check(self, &widths, sets.node_count());
         }
@@ -591,13 +535,13 @@ impl BddManager {
     }
 }
 
-/// The sifter's cost tracker. `sets[c]` is `S(c)` (see the module docs),
-/// so `sets[c].len()` is the unclamped width at cut `c`, `0 ≤ c ≤ t`.
-/// `level_nodes[l]` counts the members of `S(l)` at level `l`: exactly the
-/// live nodes of that level, whose parents all sit above it, so the
-/// `NodeCount` cost comes from the same sets. An in-place swap at level `l`
-/// changes only `S(l + 1)`; a [`BddManager::gc`] renumbers every node, so
-/// the sets are rebuilt after each one.
+/// The crossing sets of every reorder walk. `sets[c]` is `S(c)` (see the
+/// module docs), so `sets[c].len()` is the unclamped width at cut `c`,
+/// `0 ≤ c ≤ t`, and the in-place swap at `l` takes the live nodes it
+/// rewrites from `sets[l]`. `level_nodes[l]` counts the members of `S(l)`
+/// at level `l`, so the `NodeCount` cost comes from the same sets. A swap
+/// at level `l` changes only `S(l + 1)`; a [`BddManager::gc`] renumbers
+/// every node, so the sets are rebuilt after each one.
 struct CrossingSets {
     sets: Vec<Vec<u32>>,
     level_nodes: Vec<usize>,
@@ -624,8 +568,8 @@ impl CrossingSets {
     }
 
     /// Recomputes `S(level + 1)` from `S(level)`, and the node counts of
-    /// both levels. Building runs it for every level; after an in-place
-    /// swap of `level` and `level + 1` it is the whole update.
+    /// both levels. Building runs it for every level; it ends every
+    /// in-place swap of `level` and `level + 1`, as the whole update.
     fn refresh_below(&mut self, mgr: &mut BddManager, level: u32) {
         let l = level as usize;
         let (upper, lower) = self.sets.split_at_mut(l + 1);
@@ -844,7 +788,8 @@ mod tests {
         };
         let tf = truth_vector(&mgr, f);
         let tg = truth_vector(&mgr, g);
-        mgr.swap_adjacent_in_place(1, &[f, g]);
+        let mut sets = CrossingSets::build(&mut mgr, &[f, g]);
+        mgr.swap_in_place(&mut sets, 1);
         assert_eq!(mgr.var_at(1), Var(2));
         assert_eq!(mgr.var_at(2), Var(1));
         // Roots keep their ids *and* their functions — the whole point.
@@ -864,8 +809,9 @@ mod tests {
         let f = interleaved_function(&mut mgr);
         let before_count = mgr.node_count(f);
         let order_before: Vec<Var> = mgr.order().to_vec();
-        mgr.swap_adjacent_in_place(0, &[f]);
-        mgr.swap_adjacent_in_place(0, &[f]);
+        let mut sets = CrossingSets::build(&mut mgr, &[f]);
+        mgr.swap_in_place(&mut sets, 0);
+        mgr.swap_in_place(&mut sets, 0);
         assert_eq!(mgr.order(), &order_before[..]);
         // Same function, same order: canonicity forces the same shape.
         assert_eq!(mgr.node_count(f), before_count);
@@ -883,14 +829,54 @@ mod tests {
         let c = mgr.var(Var(2));
         let f = mgr.xor(a, c);
         let before = truth_vector(&mgr, f);
-        mgr.swap_adjacent_in_place(1, &[f]); // swap v1 (absent) and v2
+        let mut sets = CrossingSets::build(&mut mgr, &[f]);
+        mgr.swap_in_place(&mut sets, 1); // swap v1 (absent) and v2
         assert_eq!(truth_vector(&mgr, f), before);
-        mgr.swap_adjacent_in_place(0, &[f]); // now swap v2 above v0
+        mgr.swap_in_place(&mut sets, 0); // now swap v2 above v0
         assert_eq!(truth_vector(&mgr, f), before);
         let roots = mgr.gc(&[f]);
         mgr.check_integrity()
             .expect("collected staged arena is sound");
         assert_eq!(truth_vector(&mgr, roots[0]), before);
+    }
+
+    #[test]
+    fn in_place_swap_rewrites_only_live_nodes() {
+        // g is not a root: its interacting nodes at the swapped level are
+        // tabled garbage, which the swap must leave alone.
+        let mut mgr = BddManager::new(4);
+        let f = interleaved_function(&mut mgr);
+        let g = {
+            let b = mgr.var(Var(1));
+            let c = mgr.var(Var(2));
+            mgr.xor(b, c)
+        };
+        let level = 1;
+        let interacting = |mgr: &BddManager, root: NodeId| {
+            mgr.descendants(&[root])
+                .into_iter()
+                .filter(|&n| {
+                    mgr.level_of_node(n) == level
+                        && [mgr.lo(n), mgr.hi(n)]
+                            .iter()
+                            .any(|&c| mgr.level_of_node(c) == level + 1)
+                })
+                .count() as u64
+        };
+        let live = interacting(&mgr, f);
+        assert!(live > 0 && interacting(&mgr, g) > 0);
+        let mut reference = mgr.clone();
+        let before = mgr.engine_stats();
+        let roots = mgr.crossing_walk_for_testing(&[f], &[level], |_, _, _| {});
+        let after = mgr.engine_stats();
+        assert_eq!(after.swaps, before.swaps + 1);
+        assert_eq!(after.swap_rewrites, before.swap_rewrites + live);
+        // Collecting numbers nodes from the roots, so the arenas match.
+        let expect = reference.swap_adjacent(level, &[f]);
+        let expect = reference.gc(&expect);
+        assert_eq!(roots, expect);
+        assert_eq!(mgr.order(), reference.order());
+        assert!(mgr.raw_nodes().eq(reference.raw_nodes()));
     }
 
     #[test]

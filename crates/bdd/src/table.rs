@@ -135,6 +135,13 @@ impl UniqueTable {
         self.probes
     }
 
+    /// Continues `old`'s monotone counters in this table, which replaces
+    /// it (a `gc` builds a fresh one).
+    pub(crate) fn continue_counters(&mut self, old: &UniqueTable) {
+        self.lookups = old.lookups;
+        self.probes = old.probes;
+    }
+
     #[inline]
     fn bucket_of(&self, var: u32, lo: u32, hi: u32) -> usize {
         (mix3(var, lo, hi) & self.mask) as usize
@@ -200,8 +207,8 @@ impl UniqueTable {
     /// Rebuilds the table at `1 << capacity_log2` buckets, relinking the
     /// currently tabled nodes in ascending-index order. Untabled nodes
     /// stay untabled: during an in-place swap (reorder.rs) the arena holds
-    /// deliberately unlinked garbage — and the node being rewritten is
-    /// unlinked while its replacement children are `mk`-ed, which is
+    /// the garbage twins the swap unlinked — and the node being rewritten
+    /// is unlinked while its replacement children are `mk`-ed, which is
     /// exactly when a growth rebuild can fire — so relinking by arena
     /// membership instead of table membership would resurrect them.
     pub(crate) fn rebuild(&mut self, nodes: &mut [Node], capacity_log2: u32) {
@@ -226,10 +233,9 @@ impl UniqueTable {
     }
 
     /// Splices the node at `id` out of its bucket chain, reporting whether
-    /// it was actually linked. The in-place adjacent swap (reorder.rs) uses
-    /// the `false` case as its garbage test: a node absent from the table
-    /// cannot be the canonical representative of any live function. The
-    /// `UnregisterNode` corruption uses it too.
+    /// it was actually linked. The in-place adjacent swap (reorder.rs)
+    /// unlinks every node it rewrites, and the `UnregisterNode` corruption
+    /// uses it too.
     pub(crate) fn unlink_checked(&mut self, nodes: &mut [Node], id: u32) -> bool {
         let n = nodes[id as usize];
         let b = self.bucket_of(n.var, n.lo.0, n.hi.0);
@@ -620,8 +626,12 @@ pub struct EngineStats {
     pub gc_runs: u64,
     /// Wall-clock nanoseconds spent inside those collections.
     pub gc_pause_ns: u64,
-    /// Bytes held now by the arena and its variable chains, the unique
-    /// table's buckets, the four operation caches and the scratch maps.
+    /// In-place adjacent-level swaps run by the reorders.
+    pub swaps: u64,
+    /// Live nodes those swaps rewrote.
+    pub swap_rewrites: u64,
+    /// Bytes held now by the arena, the unique table's buckets, the four
+    /// operation caches and the scratch maps.
     pub held_bytes: u64,
 }
 

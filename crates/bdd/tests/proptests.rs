@@ -321,14 +321,19 @@ proptest! {
 
     #[test]
     fn crossing_sets_track_every_in_place_swap(
+        garbage in prop::collection::vec(arb_expr(), 1..4),
         exprs in prop::collection::vec(arb_expr(), 1..4),
         constants in prop::collection::vec(any::<bool>(), 0..3),
         walk in prop::collection::vec(0..NVARS - 1, 1..24),
     ) {
         // Multi-rooted, with terminal roots and a repeated root; random
         // expressions over six variables leave plenty of level-skipping
-        // edges.
+        // edges. The expressions that are not roots leave interacting
+        // tabled garbage at every level, which the swaps must not touch.
         let mut mgr = BddManager::new(NVARS as usize);
+        for e in &garbage {
+            e.build(&mut mgr);
+        }
         let mut roots: Vec<NodeId> = exprs.iter().map(|e| e.build(&mut mgr)).collect();
         roots.extend(constants.iter().map(|&c| if c { TRUE } else { FALSE }));
         roots.push(roots[0]);
@@ -374,6 +379,10 @@ proptest! {
         prop_assert_eq!(mgr.width_profile(&remapped), reference.width_profile(&expect));
         prop_assert_eq!(mgr.node_count_multi(&remapped), reference.node_count_multi(&expect));
         prop_assert!(mgr.check_integrity().is_ok());
+        // Canonicity: rebuilding a root under the new order finds it.
+        for (e, &r) in exprs.iter().zip(&remapped) {
+            prop_assert_eq!(e.build(&mut mgr), r);
+        }
     }
 
     #[test]

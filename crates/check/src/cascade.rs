@@ -9,22 +9,29 @@
 //! BDD, independently of the synthesizer's cached values.
 //!
 //! Semantic: the cell tables, chained through the rails, must agree with
-//! the prefer-0 completion of χ ([`Cf::eval_completed`]) on every sampled
+//! the completion of χ the cascade is built to compute on every sampled
 //! input, and the full output word must be admitted by the specification
-//! oracle.
+//! oracle. That completion is the *fixed-choice* walk: at an output node
+//! with two satisfiable children it takes the edge
+//! [`Cf::cascade_output_choices`] hard-wires, which covers the node's
+//! whole live set. The prefer-0 walk ([`Cf::eval_completed`]) is another
+//! completion: it backtracks per input, so under the decimal adders'
+//! interleaved orders it takes a 0-edge that is satisfiable on the sampled
+//! input where the cell takes the 1-edge, and both words are admitted.
 
 use crate::{CheckReport, Layer};
-use bddcf_bdd::splitmix64;
+use bddcf_bdd::hasher::FastMap;
+use bddcf_bdd::{splitmix64, NodeId, FALSE, TRUE};
 use bddcf_cascade::Cascade;
-use bddcf_core::Cf;
+use bddcf_core::{Cf, Role};
 use bddcf_decomp::bdd_decomp::rails_for;
 use bddcf_logic::MultiOracle;
 use std::collections::HashSet;
 
 /// Checks one cascade against the (reduced) `Cf` it was synthesized from:
 /// Theorem-3.1 rail counts at every cell boundary and sampled agreement
-/// with the prefer-0 completion of χ.
-pub fn check_cascade(cascade: &Cascade, cf: &Cf, samples: u64) -> CheckReport {
+/// with the fixed-choice completion of χ (see the module docs).
+pub fn check_cascade(cascade: &Cascade, cf: &mut Cf, samples: u64) -> CheckReport {
     let mut report = CheckReport::new();
     rail_counts(cascade, cf, &mut report);
     sampled_agreement(cascade, cf, samples, &mut report);
@@ -157,13 +164,29 @@ pub(crate) fn columns_below(cf: &Cf, cut: u32) -> usize {
 }
 
 /// The hardware model must compute exactly the BDD walk's completion.
-fn sampled_agreement(cascade: &Cascade, cf: &Cf, samples: u64, report: &mut CheckReport) {
+fn sampled_agreement(cascade: &Cascade, cf: &mut Cf, samples: u64, report: &mut CheckReport) {
+    let choices = match cf.cascade_output_choices() {
+        Ok(choices) => choices,
+        Err(node) => {
+            report.push(
+                Layer::Cascade,
+                format!("output node {node:?} of χ has no edge a cell can hard-wire"),
+            );
+            return;
+        }
+    };
     let n = cascade.num_inputs();
     let mut rng: u64 = 0xb0a7_1e55;
     for _ in 0..samples {
         let input = random_input(&mut rng, n);
         let hardware = cascade.eval(&input);
-        let software = cf.eval_completed(&input);
+        let Some(software) = fixed_choice_walk(cf, &choices, &input) else {
+            report.push(
+                Layer::Cascade,
+                format!("the fixed-choice walk of χ dies on input {input:?}"),
+            );
+            break;
+        };
         if hardware != software {
             report.push(
                 Layer::Cascade,
@@ -175,6 +198,31 @@ fn sampled_agreement(cascade: &Cascade, cf: &Cf, samples: u64, report: &mut Chec
             break; // one counterexample is enough
         }
     }
+}
+
+/// The output word of χ's fixed-choice completion on `input`: the walk
+/// takes the only satisfiable edge at an output node with a constant-0
+/// child and the edge in `choices` at the others. `None` if it reaches 0.
+fn fixed_choice_walk(cf: &Cf, choices: &FastMap<NodeId, bool>, input: &[bool]) -> Option<u64> {
+    let mgr = cf.manager();
+    let mut cur = cf.root();
+    let mut word = 0u64;
+    while cur != TRUE {
+        if cur == FALSE {
+            return None;
+        }
+        let take_hi = match cf.layout().role(mgr.var_of(cur)) {
+            Role::Input(i) => input[i],
+            Role::Output(j) => {
+                let take_hi = mgr.lo(cur) == FALSE
+                    || (mgr.hi(cur) != FALSE && choices.get(&cur) == Some(&true));
+                word |= u64::from(take_hi) << j;
+                take_hi
+            }
+        };
+        cur = if take_hi { mgr.hi(cur) } else { mgr.lo(cur) };
+    }
+    Some(word)
 }
 
 /// The next draw of the splitmix64 stream whose state is `state`.
@@ -192,7 +240,9 @@ fn random_input(state: &mut u64, n: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bddcf_bdd::Var;
     use bddcf_cascade::{synthesize, CascadeOptions};
+    use bddcf_core::{CfLayout, IsfBdds};
     use bddcf_logic::TruthTable;
 
     fn synthesized_paper_example() -> (Cascade, Cf, TruthTable) {
@@ -213,8 +263,8 @@ mod tests {
 
     #[test]
     fn paper_cascade_is_clean() {
-        let (cascade, cf, table) = synthesized_paper_example();
-        let report = check_cascade(&cascade, &cf, 64);
+        let (cascade, mut cf, table) = synthesized_paper_example();
+        let report = check_cascade(&cascade, &mut cf, 64);
         assert!(report.is_clean(), "{report}");
         // Per-output admission against the (partially specified) table.
         for r in 0..16usize {
@@ -249,13 +299,50 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_cascade_computes_the_fixed_choice_completion() {
+        // One digit pair of the decimal adders: A = x1 + 2·x2 and
+        // B = x3 + 2·x4, code 3 invalid (every output don't care). y1 =
+        // "A has code 2" sits above x3/x4, which steer only its don't
+        // cares. On A = 2, B = 3 the prefer-0 walk takes y1's satisfiable
+        // 0-edge, while the cell hard-wires the 1-edge, which covers the
+        // node's live set; χ admits both words.
+        let order = [Var(0), Var(1), Var(4), Var(2), Var(3), Var(5)];
+        let mut cf = Cf::build_with_order(CfLayout::new(4, 2), &order, |mgr, layout| {
+            let x: Vec<_> = (0..4).map(|i| mgr.var(layout.input_var(i))).collect();
+            let a_invalid = mgr.and(x[0], x[1]);
+            let b_invalid = mgr.and(x[2], x[3]);
+            let invalid = mgr.or(a_invalid, b_invalid);
+            let valid = mgr.not(invalid);
+            let nx0 = mgr.not(x[0]);
+            let y1 = mgr.and(nx0, x[1]);
+            let y2 = mgr.xor(x[0], x[2]);
+            let on = vec![mgr.and(valid, y1), mgr.and(valid, y2)];
+            IsfBdds::from_on_dc(mgr, on, vec![invalid, invalid])
+        });
+        let cascade = synthesize(
+            &mut cf,
+            &CascadeOptions {
+                max_cell_inputs: 4,
+                max_cell_outputs: 4,
+                ..CascadeOptions::default()
+            },
+        )
+        .expect("one digit pair fits one cascade");
+        let input = [false, true, true, true];
+        assert_eq!(cascade.eval(&input) & 1, 1);
+        assert_eq!(cf.eval_completed(&input) & 1, 0);
+        let report = check_cascade(&cascade, &mut cf, 64);
+        assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
     fn mismatched_cf_is_flagged() {
         // Check the cascade against a *different* function: the sampled
         // semantic layer must notice.
         let (cascade, _, _) = synthesized_paper_example();
         let other = TruthTable::paper_table1().completed(true);
-        let other_cf = Cf::from_truth_table(&other);
-        let report = check_cascade(&cascade, &other_cf, 256);
+        let mut other_cf = Cf::from_truth_table(&other);
+        let report = check_cascade(&cascade, &mut other_cf, 256);
         assert!(
             !report.is_clean(),
             "cascade for the DC=1 completion must differ somewhere"

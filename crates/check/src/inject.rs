@@ -168,7 +168,7 @@ fn inject(benchmark: &dyn Benchmark, seed: u64, points: usize) -> Injection {
                 report.absorb(&tag, check_cf(&mut cf));
                 report.absorb(&tag, check_refinement(&mut cf));
                 if let Some(cascade) = &cascade {
-                    report.absorb(&tag, check_cascade(cascade, &cf, SAMPLES));
+                    report.absorb(&tag, check_cascade(cascade, &mut cf, SAMPLES));
                 }
                 if degradations.is_clean() {
                     Weathered::Unaffected

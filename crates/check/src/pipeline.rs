@@ -99,7 +99,7 @@ pub fn check_benchmark(benchmark: &dyn Benchmark, options: &CheckOptions) -> Ben
                     report.absorb(&format!("synthesis[{i}]"), check_cascade_ready(&mut part));
                     report.absorb(
                         &format!("synthesis[{i}]"),
-                        check_cascade(cascade, &part, options.samples),
+                        check_cascade(cascade, &mut part, options.samples),
                     );
                 }
                 report.absorb(

@@ -482,6 +482,10 @@ fn print_engine_stats(stats: &bddcf::bdd::EngineStats) {
         stats.gc_runs,
         stats.gc_pause_ns as f64 / 1e6
     );
+    println!(
+        "          reorder {} swap(s), {} node(s) rewritten",
+        stats.swaps, stats.swap_rewrites
+    );
 }
 
 fn reduce(args: &Args) -> Result<Outcome, CliError> {

@@ -104,6 +104,17 @@ fn stats_reports_all_treatments() {
         .and_then(|kib| kib.parse().ok())
         .unwrap_or_else(|| panic!("no held figure in {engine:?}"));
     assert!(held > 0, "{engine}");
+    // The sift's in-place swaps are counted.
+    let reorder = text
+        .lines()
+        .find_map(|line| line.trim_start().strip_prefix("reorder "))
+        .unwrap_or_else(|| panic!("no reorder line in {text}"));
+    let counts: Vec<u64> = reorder
+        .split(", ")
+        .filter_map(|part| part.split(' ').next()?.parse().ok())
+        .collect();
+    assert_eq!(counts.len(), 2, "{reorder}");
+    assert!(counts[0] > 0, "{reorder}");
 }
 
 #[test]
