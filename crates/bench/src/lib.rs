@@ -8,7 +8,7 @@
 //! | `cargo run --release -p bddcf-bench --bin table6` | Table 6: word lists, plain cascades vs the Fig. 8 architecture |
 //! | `cargo run --release -p bddcf-bench --bin fig9`   | Fig. 9: cascade structure of the 5-7-11-13 RNS converter |
 //! | `cargo run --release -p bddcf-bench --bin mtbdd_compare` | §1's MTBDD vs BDD_for_CF size claim |
-//! | `cargo bench -p bddcf-bench` | Criterion micro-benchmarks + ablations |
+//! | `cargo run --release -p bddcf-bench --bin ablations` | Ablations: output partitioning, sifting cost, Alg. 3.3 cover engine, segmentation |
 //!
 //! End-to-end and per-layer timing lives in `perfbench/`, the repository
 //! benchmark that `BENCHMARK.json` declares.

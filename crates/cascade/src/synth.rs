@@ -17,6 +17,16 @@
 //! fixes the edge a cell may hard-wire. Output variables absent from a
 //! path are don't cares realized as 0, and table entries whose walk dies
 //! are unreachable at run time (hardware don't cares).
+//!
+//! A cascade therefore computes χ's *fixed-choice* completion. That equals
+//! the prefer-0 walk [`Cf::eval_completed`](bddcf_core::Cf::eval_completed)
+//! only when no output node has two satisfiable children, as for the
+//! functions of [`synthesize`]'s example and of this module's unit tests.
+//! Under the decimal adders' interleaved orders the two completions
+//! can differ on inputs χ leaves open, and χ admits both words. Check layer 4
+//! (`bddcf_check::check_cascade`) compares a cascade with the fixed-choice
+//! walk; its test `interleaved_cascade_computes_the_fixed_choice_completion`
+//! pins an input where the two differ.
 
 #![allow(clippy::needless_range_loop)] // cut indices mirror the level arithmetic
 use crate::cell::LutCell;
@@ -296,7 +306,8 @@ fn columns_at(cf: &Cf, cut: u32) -> Vec<NodeId> {
 ///     max_cell_outputs: 4,
 ///     ..CascadeOptions::default()
 /// }).unwrap();
-/// // The hardware model computes exactly what the BDD walk computes.
+/// // No output node of this χ has two satisfiable children, so the
+/// // cascade's fixed-choice completion is the prefer-0 walk (module docs).
 /// let input = [true, false, true, false];
 /// assert_eq!(cascade.eval(&input), cf.eval_completed(&input));
 /// ```

@@ -92,7 +92,7 @@ mod tests {
 
         let table = TruthTable::paper_table1();
         let mut cf = Cf::from_truth_table(&table);
-        cf.reduce_to_fixpoint(&Default::default(), 4);
+        cf.reduce_to_fixpoint(4);
         let cascade = synthesize(
             &mut cf,
             &CascadeOptions {

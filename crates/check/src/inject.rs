@@ -33,7 +33,7 @@ use crate::{check_cascade, check_cf, check_manager, check_refinement, CheckRepor
 use bddcf_bdd::{Budget, CancelToken, Error as BudgetError};
 use bddcf_cascade::{synthesize_governed, Cascade, CascadeOptions};
 use bddcf_core::degrade::DegradationReport;
-use bddcf_core::{Alg33Options, Cf};
+use bddcf_core::Cf;
 use bddcf_funcs::{build_isf_pieces, Benchmark};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,7 +100,7 @@ fn governed_run(
     let (mut mgr, layout, isf) = build_isf_pieces(benchmark);
     mgr.set_budget(budget); // resets the step counter: faults are relative
     let mut cf = Cf::try_from_isf(mgr, layout, isf)?;
-    cf.reduce_to_fixpoint_governed(&Alg33Options::default(), MAX_ITERATIONS, degradations);
+    cf.reduce_to_fixpoint_governed(MAX_ITERATIONS, degradations);
     // Synthesis capacity errors (cell constraints) are not robustness
     // failures; budget errors here are already recorded in `degradations`
     // or terminal (the fault fired so late that only synthesis saw it).
@@ -123,7 +123,7 @@ fn inject(benchmark: &dyn Benchmark, seed: u64, points: usize) -> Injection {
         mgr.set_budget(Budget::unlimited()); // resets the step counter
         let mut cf = Cf::try_from_isf(mgr, layout, isf)
             .expect("invariant: an unlimited budget cannot be exhausted");
-        cf.reduce_to_fixpoint_governed(&Alg33Options::default(), MAX_ITERATIONS, &mut degradations);
+        cf.reduce_to_fixpoint_governed(MAX_ITERATIONS, &mut degradations);
         let mut arena = built.max(cf.manager().arena_len());
         let _ = synthesize_governed(&mut cf, &CascadeOptions::default(), &mut degradations);
         arena = arena.max(cf.manager().arena_len());

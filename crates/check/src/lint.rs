@@ -20,7 +20,7 @@ use crate::netlist::{
     TV002_ROUNDTRIP, TV003_RECONSTRUCTION,
 };
 use bddcf_cascade::{try_synthesize_partitioned, Cascade, CascadeOptions};
-use bddcf_core::{Alg33Options, Cf};
+use bddcf_core::Cf;
 use bddcf_funcs::{build_isf_pieces, Benchmark};
 use bddcf_io::{
     cascade_to_verilog, is_valid_module_name, parse_verilog, read_cascade, write_cascade,
@@ -96,10 +96,10 @@ pub fn lint_benchmark(benchmark: &dyn Benchmark, options: &LintOptions) -> Bench
     } else {
         vec![0..m.div_ceil(2), m.div_ceil(2)..m]
     };
-    let (alg33, cascade_options) = (Alg33Options::default(), CascadeOptions::default());
+    let cascade_options = CascadeOptions::default();
     let mut artifacts = 0usize;
     match try_synthesize_partitioned(&mgr, &layout, &isf, &initial, &cascade_options, |part| {
-        part.reduce_to_fixpoint(&alg33, options.max_iterations);
+        part.reduce_to_fixpoint(options.max_iterations);
     }) {
         Ok(multi) => {
             for (i, (cascade, part)) in multi.cascades.iter().zip(&multi.parts).enumerate() {

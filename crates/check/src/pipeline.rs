@@ -11,7 +11,7 @@ use crate::{
     Layer,
 };
 use bddcf_cascade::{try_synthesize_partitioned, CascadeOptions};
-use bddcf_core::{Alg33Options, Cf};
+use bddcf_core::Cf;
 use bddcf_funcs::{build_isf_pieces, Benchmark};
 
 /// Knobs for [`check_benchmark`].
@@ -61,7 +61,6 @@ pub struct BenchmarkCheck {
 ///
 /// Algorithm 3.3 and synthesis run with their default options.
 pub fn check_benchmark(benchmark: &dyn Benchmark, options: &CheckOptions) -> BenchmarkCheck {
-    let alg33 = Alg33Options::default();
     let mut report = CheckReport::new();
     let (mgr, layout, isf) = build_isf_pieces(benchmark);
 
@@ -72,7 +71,7 @@ pub fn check_benchmark(benchmark: &dyn Benchmark, options: &CheckOptions) -> Ben
     report.absorb("build", check_cf(&mut cf));
 
     // Phase 2: reduction fixpoint.
-    cf.reduce_to_fixpoint(&alg33, options.max_iterations);
+    cf.reduce_to_fixpoint(options.max_iterations);
     let width_after = cf.max_width();
     report.absorb("fixpoint", check_manager(cf.manager()));
     report.absorb("fixpoint", check_cf(&mut cf));
@@ -90,7 +89,7 @@ pub fn check_benchmark(benchmark: &dyn Benchmark, options: &CheckOptions) -> Ben
     let cascade_options = CascadeOptions::default();
     let (num_cascades, num_cells) =
         match try_synthesize_partitioned(&mgr, &layout, &isf, &initial, &cascade_options, |part| {
-            part.reduce_to_fixpoint(&alg33, options.max_iterations);
+            part.reduce_to_fixpoint(options.max_iterations);
         }) {
             Ok(multi) => {
                 for (i, (cascade, part)) in multi.cascades.iter().zip(&multi.parts).enumerate() {

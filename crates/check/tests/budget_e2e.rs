@@ -8,7 +8,7 @@ use bddcf_bdd::{Budget, CancelToken, Error as BudgetError};
 use bddcf_cascade::{synthesize_governed, CascadeOptions, SynthesisError};
 use bddcf_check::{check_cf, check_manager, check_refinement};
 use bddcf_core::degrade::DegradationReport;
-use bddcf_core::{Alg33Options, Cf};
+use bddcf_core::Cf;
 use bddcf_funcs::{build_isf_pieces, Benchmark, DecimalAdder};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -81,7 +81,7 @@ fn alg33_starved_degrades_with_populated_report() {
     cf.manager_mut()
         .set_budget(Budget::default().with_node_limit(quota));
     let mut report = DegradationReport::new();
-    cf.reduce_alg33_governed(&Alg33Options::default(), &mut report);
+    cf.reduce_alg33_governed(&mut report);
     assert!(!report.is_clean(), "a starved run must record downgrades");
     assert_sound(&mut cf, "alg33 starved");
 }
@@ -105,7 +105,7 @@ fn fixpoint_under_node_quota_degrades_but_stays_valid() {
     cf.manager_mut()
         .set_budget(Budget::default().with_node_limit(unreduced_nodes + 4));
     let mut report = DegradationReport::new();
-    cf.reduce_to_fixpoint_governed(&Alg33Options::default(), 4, &mut report);
+    cf.reduce_to_fixpoint_governed(4, &mut report);
     assert!(!report.is_clean(), "quota near arena size must bite");
     assert!(
         report.terminal_cause().is_none(),
@@ -120,7 +120,7 @@ fn fixpoint_under_step_quota_stops_with_terminal_cause() {
     cf.manager_mut()
         .set_budget(Budget::default().with_step_limit(10));
     let mut report = DegradationReport::new();
-    cf.reduce_to_fixpoint_governed(&Alg33Options::default(), 4, &mut report);
+    cf.reduce_to_fixpoint_governed(4, &mut report);
     assert!(matches!(
         report.terminal_cause(),
         Some(BudgetError::StepLimit { .. })
@@ -136,7 +136,7 @@ fn fixpoint_with_fired_cancel_token_stops_cleanly() {
     cf.manager_mut()
         .set_budget(Budget::default().with_cancel(token));
     let mut report = DegradationReport::new();
-    cf.reduce_to_fixpoint_governed(&Alg33Options::default(), 4, &mut report);
+    cf.reduce_to_fixpoint_governed(4, &mut report);
     assert_eq!(report.terminal_cause(), Some(BudgetError::Cancelled));
     assert_sound(&mut cf, "fixpoint cancelled");
 }
@@ -144,7 +144,7 @@ fn fixpoint_with_fired_cancel_token_stops_cleanly() {
 #[test]
 fn synthesis_starved_returns_budget_error_or_degrades() {
     let mut cf = build_cf(&bench());
-    cf.reduce_to_fixpoint(&Alg33Options::default(), 4);
+    cf.reduce_to_fixpoint(4);
     cf.manager_mut()
         .set_budget(Budget::default().with_step_limit(1));
     let mut report = DegradationReport::new();
@@ -178,7 +178,7 @@ proptest! {
         match Cf::try_from_isf(mgr, layout, isf) {
             Err(e) => prop_assert_eq!(e, BudgetError::Cancelled),
             Ok(mut cf) => {
-                cf.reduce_to_fixpoint_governed(&Alg33Options::default(), 2, &mut report);
+                cf.reduce_to_fixpoint_governed(2, &mut report);
                 let _ = synthesize_governed(&mut cf, &CascadeOptions::default(), &mut report);
                 let _ = cf.manager_mut().take_budget();
                 let m = check_manager(cf.manager());

@@ -4,7 +4,7 @@
 //! ordering, ON/OFF/DC partition, validity).
 
 use bddcf_check::{check_cf, check_manager, check_refinement, naive_width_profile};
-use bddcf_core::{Alg33Options, Cf};
+use bddcf_core::Cf;
 use bddcf_logic::{Ternary, TruthTable};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -68,7 +68,7 @@ proptest! {
     #[test]
     fn fixpoint_driver_passes_refinement_oracle(table in arb_table()) {
         let mut cf = Cf::from_truth_table(&table);
-        cf.reduce_to_fixpoint(&Alg33Options::default(), 4);
+        cf.reduce_to_fixpoint(4);
         assert_reduced_cf_is_sound(&mut cf)?;
     }
 

@@ -24,45 +24,44 @@
 //!   `O(W²)` compatibility tests per cut. Columns are first bucketed by
 //!   their live set (merging across different live sets is never sound),
 //!   and buckets larger than [`Alg33Options::max_pairwise_group`] switch to
-//!   a first-fit greedy cover that only tests each column against existing
-//!   clique products. Every column of a bucket and every clique product
-//!   has the bucket's live set, so each test is one
-//!   [`BddManager::try_and_exists_keeps`] call, without comparing live
-//!   sets first. That call stops at the first cofactor pair that loses a
-//!   live input (see [`crate::compat`]). Nearly every test fails, and a
-//!   failing one costs a path through the two operands rather than their
-//!   whole relational product.
+//!   a first-fit greedy cover that only tests each column against up to
+//!   `FIRST_FIT_TRIES` (64) existing clique products. Every column of a
+//!   bucket and every clique product has the bucket's live set, so each
+//!   test is one [`BddManager::try_and_exists_keeps`] call, without
+//!   comparing live sets first. That call stops at the first cofactor pair
+//!   that loses a live input (see [`crate::compat`]). Nearly every test
+//!   fails, and a failing one costs a path through the two operands rather
+//!   than their whole relational product.
 
 use crate::cf::Cf;
 use crate::compat::CompatCtx;
-use crate::cover::{CompatGraph, CoverHeuristic};
+use crate::cover::CompatGraph;
 use crate::degrade::{DegradationReport, DegradeAction, Phase};
 use bddcf_bdd::hasher::{FastMap, FastSet};
 use bddcf_bdd::{BddManager, Error as BudgetError, NodeId, FALSE};
 
-/// Tuning knobs for [`Cf::reduce_alg33`].
+/// The cover engine of [`Cf::reduce_alg33`]. Every other entry point
+/// (the governed run, the fixpoint driver, checkpoint resume) uses the
+/// default.
 #[derive(Clone, Debug)]
 pub struct Alg33Options {
-    /// Clique-cover heuristic (the paper uses min-degree-first).
-    pub heuristic: CoverHeuristic,
     /// Live-set buckets up to this size use the full pairwise
     /// compatibility graph plus Algorithm 3.2; larger buckets use first-fit
     /// greedy merging against clique products.
     pub max_pairwise_group: usize,
-    /// In first-fit mode, how many existing cliques to test per column
-    /// before giving up and opening a new clique.
-    pub first_fit_tries: usize,
 }
 
 impl Default for Alg33Options {
     fn default() -> Self {
         Alg33Options {
-            heuristic: CoverHeuristic::MinDegreeFirst,
             max_pairwise_group: 192,
-            first_fit_tries: 64,
         }
     }
 }
+
+/// In first-fit mode, how many existing cliques a column is tested against
+/// before it opens a new clique.
+const FIRST_FIT_TRIES: usize = 64;
 
 /// Metrics of one [`Cf::reduce_alg33`] run.
 #[derive(Clone, Debug)]
@@ -90,7 +89,7 @@ impl Cf {
     pub fn reduce_alg33(&mut self, options: &Alg33Options) -> Alg33Stats {
         let saved = self.manager_mut().take_budget();
         let mut report = DegradationReport::new();
-        let stats = self.reduce_alg33_governed(options, &mut report);
+        let stats = self.reduce_alg33_governed_with(options, &mut report);
         self.manager_mut().resume_budget(saved);
         debug_assert!(report.is_clean(), "unbudgeted runs cannot degrade");
         stats
@@ -110,7 +109,12 @@ impl Cf {
     /// immediately: no amount of GC brings those budgets back. Every
     /// downgrade is recorded in `report`; χ after return is always a valid
     /// refinement of χ before, however far the ladder dropped.
-    pub fn reduce_alg33_governed(
+    pub fn reduce_alg33_governed(&mut self, report: &mut DegradationReport) -> Alg33Stats {
+        self.reduce_alg33_governed_with(&Alg33Options::default(), report)
+    }
+
+    /// [`reduce_alg33_governed`](Cf::reduce_alg33_governed) with `options`.
+    fn reduce_alg33_governed_with(
         &mut self,
         options: &Alg33Options,
         report: &mut DegradationReport,
@@ -134,7 +138,7 @@ impl Cf {
     /// boundary error (e.g. a failed checkpoint write) aborts the phase and
     /// is returned verbatim. χ is always in a valid, installed state when
     /// `boundary` runs and when this returns, `Ok` or `Err`.
-    pub fn reduce_alg33_governed_from<E>(
+    pub(crate) fn reduce_alg33_governed_from<E>(
         &mut self,
         options: &Alg33Options,
         report: &mut DegradationReport,
@@ -274,9 +278,9 @@ fn try_reduce_cut(
         }
         let cliques = match mode {
             CutCover::PerOptions if group.len() <= options.max_pairwise_group => {
-                cover_by_pairwise_graph(mgr, ycube, &group, options.heuristic)?
+                cover_by_pairwise_graph(mgr, ycube, &group)?
             }
-            CutCover::PerOptions => cover_first_fit(mgr, ycube, &group, options.first_fit_tries)?,
+            CutCover::PerOptions => cover_first_fit(mgr, ycube, &group, FIRST_FIT_TRIES)?,
             CutCover::PairMergeOnly => cover_first_fit(mgr, ycube, &group, 1)?,
         };
         for (product, members) in cliques {
@@ -319,7 +323,6 @@ fn cover_by_pairwise_graph(
     mgr: &mut BddManager,
     ycube: NodeId,
     group: &[NodeId],
-    heuristic: CoverHeuristic,
 ) -> Result<Vec<(NodeId, Vec<NodeId>)>, BudgetError> {
     let mut graph = CompatGraph::new(group.len());
     for i in 0..group.len() {
@@ -330,7 +333,7 @@ fn cover_by_pairwise_graph(
         }
     }
     let mut result = Vec::new();
-    for clique in graph.clique_cover(heuristic) {
+    for clique in graph.clique_cover() {
         let mut product = group[clique[0]];
         let mut members = vec![group[clique[0]]];
         let mut spilled = Vec::new();
@@ -475,32 +478,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_first_fit_tries_disables_merging() {
-        let table = TruthTable::paper_table1();
-        let mut cf = Cf::from_truth_table(&table);
-        let stats = cf.reduce_alg33(&Alg33Options {
-            max_pairwise_group: 0,
-            first_fit_tries: 0,
-            ..Alg33Options::default()
-        });
-        assert_eq!(stats.columns_merged, 0, "no budget, no merges");
-        assert_eq!(stats.max_width_before, stats.max_width_after);
-    }
-
-    #[test]
     fn first_fit_and_pairwise_agree_on_liveness() {
         let table = TruthTable::paper_table1();
         // Run with pairwise only.
         let mut cf1 = Cf::from_truth_table(&table);
         let s1 = cf1.reduce_alg33(&Alg33Options {
             max_pairwise_group: usize::MAX,
-            ..Alg33Options::default()
         });
         // Run with first-fit only.
         let mut cf2 = Cf::from_truth_table(&table);
         let s2 = cf2.reduce_alg33(&Alg33Options {
             max_pairwise_group: 0,
-            ..Alg33Options::default()
         });
         assert!(cf1.is_fully_live());
         assert!(cf2.is_fully_live());

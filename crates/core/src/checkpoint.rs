@@ -46,7 +46,6 @@
 //! checkpointed χ; the loader recomputes both values from the restored
 //! state and refuses the checkpoint on mismatch.
 
-use crate::alg33::Alg33Options;
 use crate::cf::{Cf, IsfBdds};
 use crate::degrade::{DegradationEvent, DegradationReport, DegradeAction, Phase};
 use crate::driver::FixpointStats;
@@ -662,14 +661,12 @@ impl Cf {
     /// the plain governed driver and `Ok(Some(stats))` is returned.
     pub fn reduce_to_fixpoint_checkpointed(
         &mut self,
-        options: &Alg33Options,
         max_iterations: usize,
         report: &mut DegradationReport,
         ckpt: &mut Checkpointer,
         abort_on_cancel: bool,
     ) -> Result<Option<FixpointStats>, CheckpointError> {
         Ok(self.reduce_to_fixpoint_governed_from(
-            options,
             max_iterations,
             report,
             None,
@@ -684,16 +681,17 @@ impl LoadedCheckpoint {
     /// into `ckpt` (typically the same directory — the sequence continues
     /// after the loaded file). Returns the finished state, the full report,
     /// and the stats (`None` only when `abort_on_cancel` tripped again).
+    ///
+    /// Algorithm 3.3 runs with its default options, like every
+    /// checkpointed run; the file does not record them.
     #[allow(clippy::type_complexity)]
     pub fn resume(
         mut self,
-        options: &Alg33Options,
         max_iterations: usize,
         ckpt: &mut Checkpointer,
         abort_on_cancel: bool,
     ) -> Result<(Cf, DegradationReport, Option<FixpointStats>), CheckpointError> {
         let stats = self.cf.reduce_to_fixpoint_governed_from(
-            options,
             max_iterations,
             &mut self.report,
             Some((self.progress, self.cursor)),
@@ -872,17 +870,16 @@ mod tests {
     fn checkpointed_run_matches_plain_governed_run() {
         let dir = tmpdir("parity");
         let table = TruthTable::paper_table1();
-        let options = Alg33Options::default();
 
         let mut plain = Cf::from_truth_table(&table);
         let mut plain_report = DegradationReport::new();
-        let plain_stats = plain.reduce_to_fixpoint_governed(&options, 5, &mut plain_report);
+        let plain_stats = plain.reduce_to_fixpoint_governed(5, &mut plain_report);
 
         let mut ck = Checkpointer::new(&dir).expect("create");
         let mut cf = Cf::from_truth_table(&table);
         let mut report = DegradationReport::new();
         let stats = cf
-            .reduce_to_fixpoint_checkpointed(&options, 5, &mut report, &mut ck, false)
+            .reduce_to_fixpoint_checkpointed(5, &mut report, &mut ck, false)
             .expect("no I/O errors")
             .expect("not aborted");
         // Same loop, so the same widths, node counts and iteration count.
@@ -918,7 +915,7 @@ mod tests {
             let resumed = dir.join(format!("resume-{i}"));
             let mut ck = Checkpointer::new(&resumed).expect("create");
             let loaded = decode_checkpoint(bytes).expect("decode");
-            loaded.resume(&options, 5, &mut ck, false).expect("resume");
+            loaded.resume(5, &mut ck, false).expect("resume");
             assert!(files(&resumed) == full[i..], "resume from checkpoint {i}");
         }
         let _ = fs::remove_dir_all(&dir);

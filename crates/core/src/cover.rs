@@ -3,8 +3,11 @@
 //!
 //! Finding a minimum clique cover is NP-hard [Garey & Johnson], so the
 //! paper uses a greedy heuristic that repeatedly grows a clique around the
-//! *minimum-degree* node. A maximum-degree-first variant is provided for
-//! the ablation benchmarks.
+//! *minimum-degree* node. A maximum-degree-first order covers random
+//! graphs with fewer cliques but moves Algorithm 3.3's summed widths by
+//! under 0.1% (EXPERIMENTS.md, "Ablations"), so it is not offered. The
+//! `ablations` binary of `bddcf-bench` compares Algorithm 3.3's cover
+//! engines.
 
 /// An undirected compatibility graph over `n` functions
 /// (Definition 3.8: nodes are functions, edges join compatible pairs).
@@ -12,16 +15,6 @@
 pub struct CompatGraph {
     n: usize,
     adj: Vec<Vec<bool>>, // dense symmetric adjacency, no self loops
-}
-
-/// Which greedy order Algorithm 3.2 uses to seed and grow cliques.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum CoverHeuristic {
-    /// The paper's choice: minimum-degree node first.
-    #[default]
-    MinDegreeFirst,
-    /// Ablation variant: maximum-degree node first.
-    MaxDegreeFirst,
 }
 
 impl CompatGraph {
@@ -77,10 +70,10 @@ impl CompatGraph {
     /// as sorted index lists; every node appears in exactly one clique.
     ///
     /// The algorithm (paper, §3.2): isolated nodes become singletons; then
-    /// repeatedly seed a clique with the extreme-degree node `vᵢ` of the
-    /// remaining graph, and grow it by extreme-degree candidates among the
-    /// common neighbours until none remain.
-    pub fn clique_cover(&self, heuristic: CoverHeuristic) -> Vec<Vec<usize>> {
+    /// repeatedly seed a clique with the minimum-degree node `vᵢ` of the
+    /// remaining graph, and grow it by minimum-degree candidates among the
+    /// common neighbours until none remain. Ties go to the lowest index.
+    pub fn clique_cover(&self) -> Vec<Vec<usize>> {
         let mut cover: Vec<Vec<usize>> = Vec::new();
         let mut alive = vec![true; self.n];
 
@@ -92,25 +85,13 @@ impl CompatGraph {
             }
         }
 
-        let pick = |candidates: &mut dyn Iterator<Item = (usize, usize)>| -> Option<usize> {
-            match heuristic {
-                CoverHeuristic::MinDegreeFirst => {
-                    candidates.min_by_key(|&(deg, v)| (deg, v)).map(|(_, v)| v)
-                }
-                CoverHeuristic::MaxDegreeFirst => candidates
-                    .max_by_key(|&(deg, v)| (deg, std::cmp::Reverse(v)))
-                    .map(|(_, v)| v),
-            }
-        };
-
         while alive.iter().any(|&a| a) {
-            // Seed: extreme-degree node among the living.
-            let vi = pick(
-                &mut (0..self.n)
-                    .filter(|&v| alive[v])
-                    .map(|v| (self.degree_within(v, &alive), v)),
-            )
-            .expect("some node is alive");
+            // Seed: minimum-degree node among the living.
+            let (_, vi) = (0..self.n)
+                .filter(|&v| alive[v])
+                .map(|v| (self.degree_within(v, &alive), v))
+                .min()
+                .expect("some node is alive");
             let mut clique = vec![vi];
             // S_b: neighbours of the seed among the living.
             let mut sb: Vec<usize> = (0..self.n)
@@ -124,7 +105,10 @@ impl CompatGraph {
                     }
                     mask
                 };
-                let vj = pick(&mut sb.iter().map(|&u| (self.degree_within(u, &sb_alive), u)))
+                let (_, vj) = sb
+                    .iter()
+                    .map(|&u| (self.degree_within(u, &sb_alive), u))
+                    .min()
                     .expect("S_b is non-empty");
                 clique.push(vj);
                 sb.retain(|&u| u != vj && self.adj[vj][u]);
@@ -155,7 +139,7 @@ impl CompatGraph {
             return Vec::new();
         }
         // Greedy upper bound to prune against.
-        let mut best = self.clique_cover(CoverHeuristic::MinDegreeFirst);
+        let mut best = self.clique_cover();
         let mut assignment: Vec<Vec<usize>> = Vec::new();
         self.exact_rec(0, &mut assignment, &mut best);
         best.sort();
@@ -211,13 +195,13 @@ mod tests {
     fn empty_graph_has_empty_cover() {
         let g = CompatGraph::new(0);
         assert!(g.is_empty());
-        assert!(g.clique_cover(CoverHeuristic::MinDegreeFirst).is_empty());
+        assert!(g.clique_cover().is_empty());
     }
 
     #[test]
     fn edgeless_graph_covers_with_singletons() {
         let g = CompatGraph::new(4);
-        let cover = g.clique_cover(CoverHeuristic::MinDegreeFirst);
+        let cover = g.clique_cover();
         assert_eq!(cover.len(), 4);
         assert!(g.is_valid_cover(&cover));
     }
@@ -230,7 +214,7 @@ mod tests {
                 g.add_edge(i, j);
             }
         }
-        let cover = g.clique_cover(CoverHeuristic::MinDegreeFirst);
+        let cover = g.clique_cover();
         assert_eq!(cover.len(), 1);
         assert_eq!(cover[0], vec![0, 1, 2, 3, 4]);
         assert!(g.is_valid_cover(&cover));
@@ -243,7 +227,7 @@ mod tests {
         let mut g = CompatGraph::new(4);
         g.add_edge(0, 2); // 6–8
         g.add_edge(1, 3); // 7–10
-        let cover = g.clique_cover(CoverHeuristic::MinDegreeFirst);
+        let cover = g.clique_cover();
         assert_eq!(cover.len(), 2, "two cliques as in Example 3.6");
         assert!(cover.contains(&vec![0, 2]));
         assert!(cover.contains(&vec![1, 3]));
@@ -256,7 +240,7 @@ mod tests {
         g.add_edge(0, 1);
         g.add_edge(1, 2);
         g.add_edge(2, 3);
-        let cover = g.clique_cover(CoverHeuristic::MinDegreeFirst);
+        let cover = g.clique_cover();
         assert!(g.is_valid_cover(&cover));
         assert_eq!(cover.len(), 2, "min-degree-first finds the optimum here");
     }
@@ -269,24 +253,18 @@ mod tests {
         g.add_edge(1, 2);
         g.add_edge(0, 2);
         g.add_edge(0, 3);
-        let cover = g.clique_cover(CoverHeuristic::MinDegreeFirst);
+        let cover = g.clique_cover();
         assert!(g.is_valid_cover(&cover));
         assert_eq!(cover.len(), 2);
     }
 
     #[test]
-    fn max_degree_variant_also_valid() {
+    fn cover_is_valid_on_chained_triangles() {
         let mut g = CompatGraph::new(6);
         for (i, j) in [(0, 1), (1, 2), (0, 2), (3, 4), (2, 3), (4, 5)] {
             g.add_edge(i, j);
         }
-        for heuristic in [
-            CoverHeuristic::MinDegreeFirst,
-            CoverHeuristic::MaxDegreeFirst,
-        ] {
-            let cover = g.clique_cover(heuristic);
-            assert!(g.is_valid_cover(&cover), "{heuristic:?}");
-        }
+        assert!(g.is_valid_cover(&g.clique_cover()));
     }
 
     #[test]
@@ -339,7 +317,7 @@ mod tests {
                 }
             }
             let exact = g.clique_cover_exact().len();
-            let greedy = g.clique_cover(CoverHeuristic::MinDegreeFirst).len();
+            let greedy = g.clique_cover().len();
             assert!(greedy >= exact, "greedy cannot beat the optimum");
             assert!(
                 greedy <= exact + 2,

@@ -36,14 +36,10 @@ impl Cf {
     /// Runs `support reduction → Algorithm 3.1 → Algorithm 3.3` repeatedly
     /// until neither the maximum width nor the node count improves, or
     /// `max_iterations` is reached.
-    pub fn reduce_to_fixpoint(
-        &mut self,
-        options: &Alg33Options,
-        max_iterations: usize,
-    ) -> FixpointStats {
+    pub fn reduce_to_fixpoint(&mut self, max_iterations: usize) -> FixpointStats {
         let saved = self.manager_mut().take_budget();
         let mut report = DegradationReport::new();
-        let stats = self.reduce_to_fixpoint_governed(options, max_iterations, &mut report);
+        let stats = self.reduce_to_fixpoint_governed(max_iterations, &mut report);
         self.manager_mut().resume_budget(saved);
         debug_assert!(report.is_clean(), "unbudgeted runs cannot degrade");
         stats
@@ -69,12 +65,10 @@ impl Cf {
     /// was skipped; `report` says exactly what was.
     pub fn reduce_to_fixpoint_governed(
         &mut self,
-        options: &Alg33Options,
         max_iterations: usize,
         report: &mut DegradationReport,
     ) -> FixpointStats {
         match self.reduce_to_fixpoint_governed_from(
-            options,
             max_iterations,
             report,
             None,
@@ -103,7 +97,6 @@ impl Cf {
     /// stops the iteration gracefully and the result is `Ok(Some(stats))`.
     pub(crate) fn reduce_to_fixpoint_governed_from<E>(
         &mut self,
-        options: &Alg33Options,
         max_iterations: usize,
         report: &mut DegradationReport,
         resume_from: Option<(Progress, FixpointCursor)>,
@@ -167,7 +160,8 @@ impl Cf {
                 }
                 next_cut = 1;
             }
-            self.reduce_alg33_governed_from(options, report, next_cut, |cf, cut, report| {
+            let defaults = Alg33Options::default();
+            self.reduce_alg33_governed_from(&defaults, report, next_cut, |cf, cut, report| {
                 boundary(cf, Progress::Alg33Cut { iteration, cut }, &cursor, report)
             })?;
             #[cfg(feature = "check")]
@@ -220,7 +214,7 @@ mod tests {
         let mut one = Cf::from_truth_table(&table);
         one.reduce_alg33_default();
         let mut fix = Cf::from_truth_table(&table);
-        let stats = fix.reduce_to_fixpoint(&Alg33Options::default(), 5);
+        let stats = fix.reduce_to_fixpoint(5);
         assert!(stats.max_width.1 <= one.max_width());
         assert!(stats.iterations >= 1);
         assert!(fix.is_fully_live());
@@ -232,7 +226,7 @@ mod tests {
     fn fixpoint_terminates_on_completely_specified_functions() {
         let table = TruthTable::paper_table1().completed(false);
         let mut cf = Cf::from_truth_table(&table);
-        let stats = cf.reduce_to_fixpoint(&Alg33Options::default(), 10);
+        let stats = cf.reduce_to_fixpoint(10);
         assert_eq!(stats.removed_inputs, 0);
         assert_eq!(stats.max_width.0, stats.max_width.1);
         assert!(stats.iterations <= 2, "no progress means fast exit");
@@ -242,7 +236,7 @@ mod tests {
     fn fixpoint_respects_iteration_cap() {
         let table = TruthTable::paper_table1();
         let mut cf = Cf::from_truth_table(&table);
-        let stats = cf.reduce_to_fixpoint(&Alg33Options::default(), 1);
+        let stats = cf.reduce_to_fixpoint(1);
         assert_eq!(stats.iterations, 1);
     }
 }

@@ -15,8 +15,8 @@
 use bddcf_bdd::Var;
 use bddcf_core::checkpoint::encode_checkpoint;
 use bddcf_core::{
-    load_checkpoint, Alg33Options, Cf, CfLayout, Checkpointer, DegradationReport, FixpointCursor,
-    IsfBdds, Progress,
+    load_checkpoint, Cf, CfLayout, Checkpointer, DegradationReport, FixpointCursor, IsfBdds,
+    Progress,
 };
 use bddcf_logic::TruthTable;
 use std::path::{Path, PathBuf};
@@ -75,7 +75,7 @@ fn concurrent_loads_of_one_checkpoint_resume_identically() {
     // The uninterrupted run every loader must agree with.
     let mut reference = paper_cf();
     let mut report = DegradationReport::new();
-    reference.reduce_to_fixpoint_governed(&Alg33Options::default(), 4, &mut report);
+    reference.reduce_to_fixpoint_governed(4, &mut report);
     assert!(report.is_clean(), "unbudgeted reference must not degrade");
     let want = (reference.max_width(), reference.node_count());
 
@@ -86,9 +86,7 @@ fn concurrent_loads_of_one_checkpoint_resume_identically() {
             std::thread::spawn(move || {
                 let loaded = load_checkpoint(&path).expect("concurrent load");
                 let mut ck = Checkpointer::new(&dir).expect("per-thread checkpointer");
-                let (cf, report, stats) = loaded
-                    .resume(&Alg33Options::default(), 4, &mut ck, false)
-                    .expect("resume");
+                let (cf, report, stats) = loaded.resume(4, &mut ck, false).expect("resume");
                 assert!(report.is_clean(), "unbudgeted resume must not degrade");
                 assert!(stats.is_some(), "iteration 1 had work left");
                 (cf.max_width(), cf.node_count())
@@ -116,7 +114,7 @@ fn loads_racing_an_atomic_rewrite_never_see_a_torn_checkpoint() {
     let unreduced = paper_cf();
     let mut reduced = paper_cf();
     let mut report = DegradationReport::new();
-    reduced.reduce_to_fixpoint_governed(&Alg33Options::default(), 4, &mut report);
+    reduced.reduce_to_fixpoint_governed(4, &mut report);
     assert_ne!(
         unreduced.node_count(),
         reduced.node_count(),

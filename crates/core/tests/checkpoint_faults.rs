@@ -18,8 +18,8 @@ use bddcf_bdd::vfs::{splitmix64, FaultPlan, FaultVfs, Vfs, WriteFault};
 use bddcf_bdd::Var;
 use bddcf_core::checkpoint::{decode_checkpoint, encode_checkpoint};
 use bddcf_core::{
-    latest_checkpoint_vfs, latest_valid_checkpoint_vfs, load_checkpoint_vfs, quarantine_name,
-    Alg33Options, Cf, CfLayout, Checkpointer, DegradationReport, FixpointCursor, IsfBdds, Progress,
+    latest_checkpoint_vfs, latest_valid_checkpoint_vfs, load_checkpoint_vfs, quarantine_name, Cf,
+    CfLayout, Checkpointer, DegradationReport, FixpointCursor, IsfBdds, Progress,
 };
 use bddcf_logic::TruthTable;
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ fn paper_cf() -> Cf {
 fn reference_shape() -> (usize, usize) {
     let mut cf = paper_cf();
     let mut report = DegradationReport::new();
-    cf.reduce_to_fixpoint_governed(&Alg33Options::default(), 4, &mut report);
+    cf.reduce_to_fixpoint_governed(4, &mut report);
     assert!(report.is_clean(), "unbudgeted reference must not degrade");
     (cf.max_width(), cf.node_count())
 }
@@ -247,7 +247,6 @@ proptest! {
         // serve layer's job) — either outcome is fine, panics are not.
         if let Ok(mut ck) = Checkpointer::with_vfs(Arc::clone(&shared), &dir) {
             let _ = cf.reduce_to_fixpoint_checkpointed(
-                &Alg33Options::default(),
                 4,
                 &mut report,
                 &mut ck,
@@ -278,7 +277,7 @@ proptest! {
             let mut ck = Checkpointer::with_vfs(resume_shared, &dir)
                 .expect("reopen checkpointer on the crashed disk");
             let (cf, _, stats) = loaded
-                .resume(&Alg33Options::default(), 4, &mut ck, false)
+                .resume(4, &mut ck, false)
                 .expect("resume from the surviving checkpoint");
             prop_assert!(stats.is_some(), "an uncancelled resume must finish");
             prop_assert_eq!((cf.max_width(), cf.node_count()), reference_shape());

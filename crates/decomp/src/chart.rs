@@ -2,7 +2,7 @@
 //! functions (Definition 3.6) and compatible-column merging (Example 3.4).
 
 #![allow(clippy::needless_range_loop)] // row indices mirror the chart coordinates
-use bddcf_core::cover::{CompatGraph, CoverHeuristic};
+use bddcf_core::cover::CompatGraph;
 use bddcf_logic::{Ternary, TruthTable};
 
 /// A decomposition chart: columns indexed by the bound-set (`X₁`)
@@ -12,11 +12,10 @@ use bddcf_logic::{Ternary, TruthTable};
 ///
 /// ```
 /// use bddcf_decomp::DecompositionChart;
-/// use bddcf_core::cover::CoverHeuristic;
 ///
 /// let chart = DecompositionChart::paper_table2();
 /// assert_eq!(chart.multiplicity(), 4); // Example 3.3
-/// let (merged, _codes) = chart.merge_compatible(CoverHeuristic::MinDegreeFirst);
+/// let (merged, _codes) = chart.merge_compatible();
 /// assert_eq!(merged.multiplicity(), 2); // Example 3.4
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,9 +155,9 @@ impl DecompositionChart {
     /// For single-output ternary columns, pairwise compatibility inside a
     /// clique implies joint intersectability (at most one specified value
     /// per row), so the intersection always exists.
-    pub fn merge_compatible(&self, heuristic: CoverHeuristic) -> (DecompositionChart, Vec<usize>) {
+    pub fn merge_compatible(&self) -> (DecompositionChart, Vec<usize>) {
         let graph = self.compatibility_graph();
-        let cover = graph.clique_cover(heuristic);
+        let cover = graph.clique_cover();
         let mut code_of_column = vec![usize::MAX; self.num_columns()];
         let mut merged_cols = self.cols.clone();
         for (code, clique) in cover.iter().enumerate() {
@@ -214,8 +213,8 @@ impl DecompositionChart {
     /// and `g[code][r]` the output on free assignment `r`. The composition
     /// realizes every specified chart entry (checked in tests via
     /// [`DecompositionChart::narrowed_by`]-style admission).
-    pub fn realize(&self, heuristic: CoverHeuristic) -> ChartRealization {
-        let (merged, codes) = self.merge_compatible(heuristic);
+    pub fn realize(&self) -> ChartRealization {
+        let (merged, codes) = self.merge_compatible();
         let num_codes = codes.iter().copied().max().map_or(1, |c| c + 1);
         let rows = self.cols[0].len();
         let mut g = vec![vec![false; rows]; num_codes];
@@ -308,7 +307,7 @@ mod tests {
     #[test]
     fn example34_merge_reduces_multiplicity_to_two() {
         let chart = DecompositionChart::paper_table2();
-        let (merged, codes) = chart.merge_compatible(CoverHeuristic::MinDegreeFirst);
+        let (merged, codes) = chart.merge_compatible();
         assert_eq!(merged.multiplicity(), 2, "Example 3.4: µ = 2");
         // Φ1 and Φ2 share a code, Φ3 and Φ4 share the other.
         assert_eq!(codes[0], codes[1]);
@@ -323,7 +322,7 @@ mod tests {
     #[test]
     fn merged_chart_realizes_the_original() {
         let chart = DecompositionChart::paper_table2();
-        let (merged, _) = chart.merge_compatible(CoverHeuristic::MinDegreeFirst);
+        let (merged, _) = chart.merge_compatible();
         for c in 0..chart.num_columns() {
             for r in 0..chart.column(c).len() {
                 let spec = chart.column(c)[r];
@@ -339,7 +338,7 @@ mod tests {
     #[test]
     fn realization_composes_to_the_spec() {
         let chart = DecompositionChart::paper_table2();
-        let realization = chart.realize(CoverHeuristic::MinDegreeFirst);
+        let realization = chart.realize();
         assert_eq!(realization.rails(), 1, "µ = 2 after merging");
         for c in 0..chart.num_columns() {
             for r in 0..chart.column(c).len() {
@@ -356,7 +355,7 @@ mod tests {
     fn realization_of_fully_specified_chart_is_exact() {
         let chart =
             DecompositionChart::from_columns(vec![vec![O, I], vec![I, O], vec![O, O], vec![I, I]]);
-        let realization = chart.realize(CoverHeuristic::MinDegreeFirst);
+        let realization = chart.realize();
         assert_eq!(realization.rails(), 2);
         for c in 0..4 {
             for r in 0..2 {
@@ -372,7 +371,7 @@ mod tests {
     fn rails_is_log2_of_multiplicity() {
         let chart = DecompositionChart::paper_table2();
         assert_eq!(chart.rails(), 2, "µ=4 needs 2 rails");
-        let (merged, _) = chart.merge_compatible(CoverHeuristic::MinDegreeFirst);
+        let (merged, _) = chart.merge_compatible();
         assert_eq!(merged.rails(), 1, "µ=2 needs 1 rail");
     }
 
@@ -380,7 +379,7 @@ mod tests {
     fn fully_specified_chart_has_no_mergeable_columns() {
         let chart =
             DecompositionChart::from_columns(vec![vec![O, I], vec![I, O], vec![O, O], vec![I, I]]);
-        let (merged, codes) = chart.merge_compatible(CoverHeuristic::MinDegreeFirst);
+        let (merged, codes) = chart.merge_compatible();
         assert_eq!(merged.multiplicity(), 4);
         let mut codes_sorted = codes.clone();
         codes_sorted.sort_unstable();
@@ -394,7 +393,7 @@ mod tests {
             DecompositionChart::from_columns(vec![vec![D, D], vec![D, D], vec![D, D], vec![D, D]]);
         // All columns identical: multiplicity is already 1.
         assert_eq!(chart.multiplicity(), 1);
-        let (merged, codes) = chart.merge_compatible(CoverHeuristic::MinDegreeFirst);
+        let (merged, codes) = chart.merge_compatible();
         assert_eq!(merged.multiplicity(), 1);
         assert!(codes.iter().all(|&c| c == codes[0]));
     }

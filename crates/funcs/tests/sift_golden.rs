@@ -159,7 +159,6 @@ fn check(benchmark: &dyn Benchmark, golden: &Golden) {
     );
     let first_fit = Alg33Options {
         max_pairwise_group: 0,
-        ..Alg33Options::default()
     };
     for (options, expect) in [
         (Alg33Options::default(), golden.alg33),

@@ -17,7 +17,7 @@ use bddcf_bdd::{Budget, Error as BudgetError, ReorderCost};
 use bddcf_cascade::{synthesize_governed, CascadeOptions, SynthesisError};
 use bddcf_check::{audit_artifact_text, PanicProbe};
 use bddcf_core::{
-    latest_valid_checkpoint_vfs, Alg33Options, Cf, CheckpointError, Checkpointer, DegradationReport,
+    latest_valid_checkpoint_vfs, Cf, CheckpointError, Checkpointer, DegradationReport,
 };
 use bddcf_funcs::{build_isf_pieces, small_benchmarks, table4_benchmarks, Benchmark};
 use bddcf_io::{cascade_to_verilog, parse_pla, write_cascade};
@@ -155,7 +155,6 @@ pub fn execute_vfs(
     resume: bool,
     vfs: &Arc<dyn Vfs>,
 ) -> Result<ExecOutcome, ExecError> {
-    let options = Alg33Options::default();
     let mut report = DegradationReport::new();
     let mut storage_degraded = false;
 
@@ -165,7 +164,7 @@ pub fn execute_vfs(
         |report: &mut DegradationReport, storage_degraded: &mut bool| -> Result<Cf, ExecError> {
             *storage_degraded = true;
             *report = DegradationReport::new();
-            match fresh_reduced_vfs(spec, &options, budget.clone(), None, vfs, report) {
+            match fresh_reduced_vfs(spec, budget.clone(), None, vfs, report) {
                 Ok(cf) => Ok(cf),
                 // With no checkpoint dir there is no storage left to fail.
                 Err(FreshError::Storage) => Err(ExecError::internal("spool-less run hit storage")),
@@ -190,7 +189,7 @@ pub fn execute_vfs(
                         if let Some(b) = budget.clone() {
                             loaded.cf.manager_mut().set_budget(b);
                         }
-                        match loaded.resume(&options, spec.max_iter, &mut ck, true) {
+                        match loaded.resume(spec.max_iter, &mut ck, true) {
                             Ok((cf, resumed_report, stats)) => {
                                 report = resumed_report;
                                 if stats.is_none() {
@@ -209,16 +208,13 @@ pub fn execute_vfs(
                 }
             }
             // A crash before the first checkpoint: start over.
-            Ok(None) => {
-                match fresh_reduced_vfs(spec, &options, budget.clone(), ckpt_dir, vfs, &mut report)
-                {
-                    Ok(cf) => cf,
-                    Err(FreshError::Storage) => fallback(&mut report, &mut storage_degraded)?,
-                    Err(FreshError::Exec(e)) => return Err(e),
-                }
-            }
+            Ok(None) => match fresh_reduced_vfs(spec, budget.clone(), ckpt_dir, vfs, &mut report) {
+                Ok(cf) => cf,
+                Err(FreshError::Storage) => fallback(&mut report, &mut storage_degraded)?,
+                Err(FreshError::Exec(e)) => return Err(e),
+            },
         },
-        _ => match fresh_reduced_vfs(spec, &options, budget.clone(), ckpt_dir, vfs, &mut report) {
+        _ => match fresh_reduced_vfs(spec, budget.clone(), ckpt_dir, vfs, &mut report) {
             Ok(cf) => cf,
             Err(FreshError::Storage) => fallback(&mut report, &mut storage_degraded)?,
             Err(FreshError::Exec(e)) => return Err(e),
@@ -297,7 +293,6 @@ impl From<ExecError> for FreshError {
 /// Build + reduce from scratch (the non-resume path).
 fn fresh_reduced_vfs(
     spec: &SynthSpec,
-    options: &Alg33Options,
     budget: Option<Budget>,
     ckpt_dir: Option<&Path>,
     vfs: &Arc<dyn Vfs>,
@@ -313,7 +308,7 @@ fn fresh_reduced_vfs(
                 return Err(FreshError::Storage);
             };
             let finished = cf
-                .reduce_to_fixpoint_checkpointed(options, spec.max_iter, report, &mut ck, true)
+                .reduce_to_fixpoint_checkpointed(spec.max_iter, report, &mut ck, true)
                 .map_err(|e| match e {
                     CheckpointError::Io(_) => FreshError::Storage,
                     other => {
@@ -325,7 +320,7 @@ fn fresh_reduced_vfs(
             }
         }
         None => {
-            cf.reduce_to_fixpoint_governed(options, spec.max_iter, report);
+            cf.reduce_to_fixpoint_governed(spec.max_iter, report);
         }
     }
     Ok(cf)

@@ -8,7 +8,6 @@
 //! Run with: `cargo run --example decomposition`
 
 use bddcf::bdd::Var;
-use bddcf::core::cover::CoverHeuristic;
 use bddcf::core::{Cf, CfLayout, IsfBdds};
 use bddcf::decomp::bdd_decomp::{decompose_at, rails_for};
 use bddcf::decomp::DecompositionChart;
@@ -25,7 +24,7 @@ fn main() {
         let pattern: String = chart.column(c).iter().map(|v| v.to_string()).collect();
         println!("  Φ{} = {}", c + 1, pattern);
     }
-    let (merged, codes) = chart.merge_compatible(CoverHeuristic::MinDegreeFirst);
+    let (merged, codes) = chart.merge_compatible();
     println!(
         "After merging compatible columns (Table 3): µ = {}, codes {:?}",
         merged.multiplicity(),

@@ -27,7 +27,7 @@
 use bddcf::bdd::{Budget, ReorderCost};
 use bddcf::cascade::{synthesize_governed, CascadeOptions, SynthesisError};
 use bddcf::core::degrade::{DegradationReport, DegradeAction, Phase};
-use bddcf::core::{Alg33Options, Cf};
+use bddcf::core::Cf;
 use bddcf::io::{emit_cascade, emit_verilog, parse_pla, read_cascade, write_pla};
 use bddcf::logic::{Ternary, TruthTable};
 use std::fmt::Display;
@@ -429,7 +429,7 @@ fn stats(args: &Args) -> Result<Outcome, CliError> {
     if let Some(b) = budget.clone() {
         a33.manager_mut().set_budget(b);
     }
-    let s33 = a33.reduce_alg33_governed(&Alg33Options::default(), &mut degradations);
+    let s33 = a33.reduce_alg33_governed(&mut degradations);
     println!(
         "Alg 3.3:  width {:>6}  nodes {:>7}  ({} columns merged)",
         s33.max_width_after, s33.nodes_after, s33.columns_merged
@@ -513,29 +513,19 @@ fn reduce(args: &Args) -> Result<Outcome, CliError> {
             }
         }
         "alg33" => {
-            cf.reduce_alg33_governed(&Alg33Options::default(), &mut degradations);
+            cf.reduce_alg33_governed(&mut degradations);
         }
         "fixpoint" => {
             if let Some(dir) = checkpoint_dir {
                 let mut ck = bddcf::core::Checkpointer::new(dir)
                     .map_err(|e| format!("--checkpoint-dir {dir}: {e}"))?;
-                cf.reduce_to_fixpoint_checkpointed(
-                    &Alg33Options::default(),
-                    max_iter,
-                    &mut degradations,
-                    &mut ck,
-                    false,
-                )
-                .map_err(|e| format!("checkpointing into {dir} failed: {e}"))?;
+                cf.reduce_to_fixpoint_checkpointed(max_iter, &mut degradations, &mut ck, false)
+                    .map_err(|e| format!("checkpointing into {dir} failed: {e}"))?;
                 if let Some(path) = ck.last_path() {
                     eprintln!("last checkpoint: {}", path.display());
                 }
             } else {
-                cf.reduce_to_fixpoint_governed(
-                    &Alg33Options::default(),
-                    max_iter,
-                    &mut degradations,
-                );
+                cf.reduce_to_fixpoint_governed(max_iter, &mut degradations);
             }
         }
         other => return Err(format!("unknown --method {other}").into()),
@@ -589,7 +579,7 @@ fn cascade(args: &Args) -> Result<Outcome, CliError> {
     if let Some(budget) = budget {
         cf.manager_mut().set_budget(budget);
     }
-    cf.reduce_alg33_governed(&Alg33Options::default(), &mut degradations);
+    cf.reduce_alg33_governed(&mut degradations);
     let result =
         synthesize_governed(&mut cf, &options, &mut degradations).map_err(|e| match e {
             SynthesisError::Budget(cause) => {
@@ -835,7 +825,7 @@ fn resume(args: &Args) -> Result<Outcome, CliError> {
     let mut ck =
         bddcf::core::Checkpointer::new(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let (mut cf, mut report, stats) = loaded
-        .resume(&Alg33Options::default(), max_iter, &mut ck, false)
+        .resume(max_iter, &mut ck, false)
         .map_err(|e| format!("resume failed: {e}"))?;
     // Without `abort_on_cancel` the fixpoint loop always finishes, even
     // from a `ReductionDone` checkpoint.

@@ -150,7 +150,7 @@ fn fixpoint_driver_through_cascade() {
         };
         let multi = synthesize_partitioned(&mgr, &layout, &isf, &parts, &cells, |cf| {
             cf.optimize_order(ReorderCost::SumOfWidths, 1);
-            cf.reduce_to_fixpoint(&bddcf::core::Alg33Options::default(), 3);
+            cf.reduce_to_fixpoint(3);
         });
         for word in 0..1u64 << n {
             let input: Vec<bool> = (0..n).map(|i| word >> i & 1 == 1).collect();
