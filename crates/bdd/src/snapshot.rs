@@ -43,7 +43,6 @@
 use crate::manager::{BddManager, Var};
 use crate::table::UniqueTable;
 use std::fmt;
-use std::io;
 
 /// Magic bytes opening every manager snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BDDCFSNP";
@@ -228,33 +227,6 @@ impl BddManager {
         let checksum = fnv1a64(&buf);
         put_u64(&mut buf, checksum);
         buf
-    }
-
-    /// Streams [`snapshot_bytes`](Self::snapshot_bytes) into a writer.
-    pub fn write_snapshot<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&self.snapshot_bytes())
-    }
-
-    /// Atomically publishes a snapshot as `dir/name` through a
-    /// [`Vfs`](crate::vfs::Vfs): tmp file → fsync → rename →
-    /// parent-directory fsync. Once this returns, the snapshot survives
-    /// power loss.
-    pub fn save_snapshot(
-        &self,
-        vfs: &dyn crate::vfs::Vfs,
-        dir: &std::path::Path,
-        name: &str,
-    ) -> io::Result<()> {
-        crate::vfs::write_atomic(vfs, dir, name, &self.snapshot_bytes())
-    }
-
-    /// Reads and reconstructs a snapshot file through a
-    /// [`Vfs`](crate::vfs::Vfs). Decode failures come back as
-    /// [`io::ErrorKind::InvalidData`] wrapping the typed
-    /// [`SnapshotError`] (recoverable by downcast).
-    pub fn load_snapshot(vfs: &dyn crate::vfs::Vfs, path: &std::path::Path) -> io::Result<Self> {
-        let bytes = vfs.read(path)?;
-        Self::from_snapshot_bytes(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Reconstructs a manager from snapshot bytes, rebuilding the unique

@@ -30,8 +30,9 @@
 
 #![allow(clippy::needless_range_loop)] // cut indices mirror the level arithmetic
 use crate::cell::LutCell;
-use bddcf_bdd::hasher::{FastMap, FastSet};
+use bddcf_bdd::hasher::FastMap;
 use bddcf_bdd::{Error as BudgetError, NodeId, FALSE, TRUE};
+use bddcf_core::alg33::collect_columns;
 use bddcf_core::degrade::{DegradationReport, DegradeAction, Phase};
 use bddcf_core::{Cf, ChoiceError, Role};
 use bddcf_decomp::bdd_decomp::rails_for;
@@ -263,30 +264,6 @@ impl Cascade {
     }
 }
 
-/// The distinct non-zero nodes hanging below `cut` (the rail alphabet),
-/// sorted by node id for stable code assignment.
-fn columns_at(cf: &Cf, cut: u32) -> Vec<NodeId> {
-    let mgr = cf.manager();
-    let root = cf.root();
-    let mut set: FastSet<NodeId> = FastSet::default();
-    if mgr.level_of_node(root) >= cut && root != FALSE {
-        set.insert(root);
-    }
-    for n in mgr.descendants(&[root]) {
-        if mgr.level_of_node(n) >= cut {
-            continue;
-        }
-        for child in [mgr.lo(n), mgr.hi(n)] {
-            if child != FALSE && mgr.level_of_node(child) >= cut {
-                set.insert(child);
-            }
-        }
-    }
-    let mut columns: Vec<NodeId> = set.into_iter().collect();
-    columns.sort_unstable();
-    columns
-}
-
 /// Synthesizes `cf` into a single LUT cascade under `options`.
 ///
 /// Returns [`SynthesisError`] when even a one-level cell is infeasible at
@@ -383,7 +360,7 @@ fn synthesize_with_choices(
     let mut rails_at = Vec::with_capacity(t + 1);
     let mut columns_cache: Vec<Option<Vec<NodeId>>> = vec![None; t + 1];
     for cut in 0..=t {
-        let cols = columns_at(cf, cut as u32);
+        let cols = collect_columns(mgr, cf.root(), cut as u32);
         rails_at.push(rails_for(cols.len().max(1)));
         columns_cache[cut] = Some(cols);
     }

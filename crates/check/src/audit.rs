@@ -15,7 +15,7 @@
 //!    (same catalog ids — the pair must describe *one* circuit);
 //! 3. the parsed cascade's χ refines the specification χ
 //!    ([`TV004`](crate::netlist::TV004_REFINEMENT)) — the same symbolic
-//!    `χ_netlist ⇒ χ_spec` proof `bddcf lint` runs, against a χ built
+//!    `χ_netlist ⇒ χ_spec` proof `bddcf check` runs, against a χ built
 //!    fresh from the spec, so a stale or corrupted artifact can never be
 //!    served as if it still answered the request.
 

@@ -141,9 +141,8 @@ fn rail_counts(cascade: &Cascade, cf: &Cf, report: &mut CheckReport) {
 }
 
 /// Distinct non-zero nodes hanging below `cut` — the rail alphabet,
-/// recomputed from the BDD independently of the synthesizer. Shared with
-/// the artifact lints (`netlist::lint_rail_bounds`).
-pub(crate) fn columns_below(cf: &Cf, cut: u32) -> usize {
+/// recomputed from the BDD independently of the synthesizer.
+fn columns_below(cf: &Cf, cut: u32) -> usize {
     let mgr = cf.manager();
     let root = cf.root();
     let mut set: HashSet<bddcf_bdd::NodeId> = HashSet::new();

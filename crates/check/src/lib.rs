@@ -6,7 +6,7 @@
 //! removal), and LUT-cascade synthesis (Theorem 3.1) — relies on a stack of
 //! invariants that the implementation crates *assume* but do not audit on
 //! every operation. This crate re-derives them from first principles and
-//! checks real pipeline states against them, in four layers:
+//! checks real pipeline states against them, in five layers:
 //!
 //! 1. **Manager integrity** ([`check_manager`]) — the ROBDD arena audit of
 //!    [`bddcf_bdd::BddManager::check_integrity`]: canonical unique-table ↔
@@ -26,10 +26,15 @@
 //!    [`check_cascade_against_oracle`]) — Theorem 3.1 rail counts
 //!    (`⌈log₂ W⌉` at every cell boundary) and sampled agreement of the cell
 //!    tables with the specification oracle.
+//! 5. **Artifact lints** ([`lint_cascade_artifacts`]) — both emitted
+//!    artifact formats parsed back, linted as netlists, re-emitted
+//!    byte-faithfully and proven to refine the specification
+//!    (`χ_netlist ⇒ χ_spec`), with [`LintFinding`]s carrying catalog ids.
 //!
-//! [`check_benchmark`] chains all four layers over the standard pipeline
-//! (build → reduce to fixpoint → synthesize) for one registry benchmark;
-//! the `bddcf check` CLI subcommand is a thin wrapper around it.
+//! [`check_benchmark`] runs layers 1–5 on each part of a registry
+//! benchmark's partitioned realization (build → reduce to fixpoint →
+//! synthesize, per part); the `bddcf check` CLI subcommand is a thin
+//! wrapper around it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,12 +58,12 @@ pub use cascade::{
 };
 pub use cf::{check_cascade_ready, check_cf};
 pub use inject::inject_budget_faults;
-pub use lint::{lint_benchmark, lint_cascade_artifacts, BenchmarkLint, LintOptions};
+pub use lint::lint_cascade_artifacts;
 pub use manager::check_manager;
 pub use netlist::{
     cascade_structural_diff, cascade_to_netlist, check_netlist_refinement, lint_netlist,
-    lint_netlist_with_spec, lint_rail_bounds, netlist_chi, netlist_from_verilog,
-    netlist_to_cascade, LintFinding, LintReport, Netlist,
+    lint_netlist_with_spec, netlist_chi, netlist_from_verilog, netlist_to_cascade, LintFinding,
+    LintReport, Netlist,
 };
 pub use pipeline::{check_benchmark, BenchmarkCheck, CheckOptions};
 pub use quarantine::{
@@ -67,7 +72,8 @@ pub use quarantine::{
 };
 pub use refine::{check_refinement, naive_width_profile};
 
-/// The four analysis layers, in pipeline order.
+/// The four in-memory analysis layers, in pipeline order (layer 5 reports
+/// [`LintFinding`]s instead).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Layer {
     /// ROBDD arena / unique-table / cache integrity.

@@ -1,6 +1,6 @@
 //! Layer 5, part 1: a bit-level netlist IR for emitted artifacts.
 //!
-//! `bddcf lint` validates the *artifacts* the pipeline writes (Verilog
+//! Layer 5 validates the *artifacts* the pipeline writes (Verilog
 //! modules, cascade text files), not the in-memory objects they came from.
 //! Both artifact formats lower into the IR defined here — buses of named
 //! bits, copy drivers, and combinational ROM cells — and every analysis
@@ -11,8 +11,7 @@
 //!   overlap, vacuous ROM address bits;
 //! * **reconstruction** ([`netlist_to_cascade`]): rebuilding a
 //!   [`Cascade`] from the wiring pattern, which powers the byte-faithful
-//!   emit → parse → re-emit round-trip check and the Theorem-3.1 rail
-//!   bound recount ([`lint_rail_bounds`]);
+//!   emit → parse → re-emit round-trip check;
 //! * **translation validation** ([`netlist_chi`],
 //!   [`check_netlist_refinement`]): re-deriving the characteristic
 //!   function χ_netlist of the artifact *symbolically* — no simulation —
@@ -37,7 +36,6 @@ use bddcf_bdd::hasher::{FastMap, FxLikeHasher};
 use bddcf_bdd::{BddManager, NodeId, FALSE, TRUE};
 use bddcf_cascade::{Cascade, LutCell};
 use bddcf_core::{Cf, CfLayout};
-use bddcf_decomp::bdd_decomp::rails_for;
 use bddcf_io::verilog_parse::{BitRef, Expr, PortDir, VerilogItem, VerilogModule};
 use std::collections::HashMap;
 use std::fmt;
@@ -57,8 +55,6 @@ pub const NL005_CASE_INCOMPLETE: &str = "NL005";
 pub const NL006_CASE_OVERLAP: &str = "NL006";
 /// NL007: a ROM address bit never affects the stored word.
 pub const NL007_UNUSED_ADDRESS_BIT: &str = "NL007";
-/// NL008: a rail bundle is wider/narrower than Theorem 3.1's `⌈log₂ W⌉`.
-pub const NL008_RAIL_WIDTH: &str = "NL008";
 /// NL009: a structural defect (unknown bus, width mismatch, bad index).
 pub const NL009_STRUCTURE: &str = "NL009";
 /// TV001: the artifact does not parse (or re-emission failed).
@@ -71,8 +67,8 @@ pub const TV003_RECONSTRUCTION: &str = "TV003";
 pub const TV004_REFINEMENT: &str = "TV004";
 
 /// One artifact-lint finding: catalog id + file + 1-based line (0 = the
-/// whole artifact) + description. This is the machine-readable unit the
-/// `bddcf lint` CLI prints one-per-line.
+/// whole artifact) + description. This is the machine-readable unit
+/// `bddcf check` prints one per line.
 #[derive(Clone, Debug)]
 pub struct LintFinding {
     /// Artifact (or synthetic stem) the finding is about.
@@ -977,7 +973,7 @@ fn rom_words(rom: &NetRom, w: usize) -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------
-// Reconstruction: netlist → Cascade (TV003) and rail bounds (NL008)
+// Reconstruction: netlist → Cascade (TV003)
 // ---------------------------------------------------------------------
 
 /// Where a bit ultimately comes from, after collapsing copy chains.
@@ -1236,32 +1232,6 @@ pub fn netlist_to_cascade(net: &Netlist, file: &str) -> Result<Cascade, LintRepo
 
     Cascade::from_cells(cells, net.buses[input].width, net.buses[output].width)
         .map_err(|e| fail(0, format!("cell chain is not a valid cascade: {e}")))
-}
-
-/// NL008: recomputes Theorem 3.1's `⌈log₂ W⌉` rail bound at every cell
-/// boundary of a (reconstructed) cascade from the specification BDD,
-/// independently of whatever widths the artifact declares.
-pub fn lint_rail_bounds(cascade: &Cascade, cf: &Cf, file: &str) -> LintReport {
-    let mut report = LintReport::new();
-    let mut cut = 0usize;
-    for (i, cell) in cascade.cells().iter().enumerate() {
-        let width = crate::cascade::columns_below(cf, cut as u32).max(1);
-        let expected = rails_for(width);
-        if cell.rails_in() != expected {
-            report.push(
-                file,
-                0,
-                NL008_RAIL_WIDTH,
-                format!(
-                    "cell {i} has a {}-bit rail bundle but the BDD_for_CF has {width} \
-                     columns at cut {cut} (Theorem 3.1 wants {expected})",
-                    cell.rails_in()
-                ),
-            );
-        }
-        cut += cell.input_ids().len() + cell.output_ids().len();
-    }
-    report
 }
 
 /// First difference between two cascades, cell by cell and word by word;
@@ -1670,8 +1640,6 @@ mod tests {
         let (cascade, mut cf) = sample();
         let net = lowered(&cascade);
         let report = check_netlist_refinement(&net, &mut cf, "m.v");
-        assert!(report.is_clean(), "{report}");
-        let report = lint_rail_bounds(&cascade, &cf, "m.v");
         assert!(report.is_clean(), "{report}");
     }
 

@@ -266,7 +266,7 @@ mod tests {
             for (label, benchmark) in entries {
                 match run_quarantined(label, || check_benchmark(benchmark, &options)) {
                     Ok(result) => {
-                        assert!(result.report.is_clean(), "{}", result.report);
+                        assert!(result.is_clean(), "{}{}", result.report, result.artifacts);
                         completed += 1;
                     }
                     Err(q) => quarantined.push(q),

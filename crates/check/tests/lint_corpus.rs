@@ -1,5 +1,6 @@
-//! Seeded-defect corpus: every lint of the artifact catalog (NL001–NL009,
-//! TV001–TV004) demonstrated to fire on a minimal corruption.
+//! Seeded-defect corpus: every lint of the artifact catalog (NL001–NL007,
+//! NL009, TV001–TV004) demonstrated to fire on a minimal corruption, plus
+//! the Theorem 3.1 rail recount of the cascade lints (layer 4).
 //!
 //! Each test takes a known-clean artifact (the emitted Verilog of the
 //! paper's Table 1 function, or a small hand-written module), plants one
@@ -11,12 +12,12 @@
 use bddcf_cascade::{synthesize, Cascade, CascadeOptions, LutCell, Segmentation};
 use bddcf_check::netlist::{
     NL001_MULTIPLE_DRIVERS, NL002_UNDRIVEN, NL003_UNUSED_WIRE, NL004_COMB_LOOP,
-    NL005_CASE_INCOMPLETE, NL006_CASE_OVERLAP, NL007_UNUSED_ADDRESS_BIT, NL008_RAIL_WIDTH,
-    NL009_STRUCTURE, TV003_RECONSTRUCTION, TV004_REFINEMENT,
+    NL005_CASE_INCOMPLETE, NL006_CASE_OVERLAP, NL007_UNUSED_ADDRESS_BIT, NL009_STRUCTURE,
+    TV003_RECONSTRUCTION, TV004_REFINEMENT,
 };
 use bddcf_check::{
-    check_netlist_refinement, lint_netlist, lint_rail_bounds, netlist_from_verilog,
-    netlist_to_cascade, LintReport, Netlist,
+    check_cascade, check_netlist_refinement, lint_netlist, netlist_from_verilog,
+    netlist_to_cascade, Layer, LintReport, Netlist,
 };
 use bddcf_core::Cf;
 use bddcf_io::{cascade_to_verilog, parse_verilog};
@@ -171,18 +172,24 @@ endmodule
 }
 
 #[test]
-fn nl008_rail_bundle_wider_than_theorem_3_1() {
+fn rail_bundle_wider_than_theorem_3_1() {
     // A hand-built chain claiming 3 rails between its cells; Theorem 3.1
     // on the paper's Table 1 function allows at most ⌈log₂ W⌉ < 3 at any
-    // cut, so the recount must flag the declared bundle.
+    // cut, so layer 4's recount must flag the declared bundle.
     let cells = vec![
         LutCell::new(0, vec![0, 1], 3, vec![], vec![0, 1, 2, 3]),
         LutCell::new(3, vec![2, 3], 0, vec![0, 1], vec![0; 32]),
     ];
     let cascade = Cascade::from_cells(cells, 4, 2).expect("geometry is consistent");
-    let cf = Cf::from_truth_table(&TruthTable::paper_table1());
-    let report = lint_rail_bounds(&cascade, &cf, "corpus.v");
-    assert!(report.has(NL008_RAIL_WIDTH), "{report}");
+    let mut cf = Cf::from_truth_table(&TruthTable::paper_table1());
+    let report = check_cascade(&cascade, &mut cf, 0);
+    assert!(
+        report
+            .findings()
+            .iter()
+            .any(|f| f.layer == Layer::Cascade && f.message.contains("cell 1 has 3 incoming rails")),
+        "{report}"
+    );
 }
 
 #[test]

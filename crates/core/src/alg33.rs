@@ -227,8 +227,10 @@ fn is_terminal(e: BudgetError) -> bool {
     !matches!(e, BudgetError::NodeLimit { .. })
 }
 
-/// The distinct non-zero nodes hanging below `cut` — the column functions.
-fn collect_columns(mgr: &BddManager, root: NodeId, cut: u32) -> Vec<NodeId> {
+/// The distinct non-zero nodes hanging below `cut`, sorted by node id —
+/// the column functions, and the rail alphabet of a cascade cell boundary
+/// at that cut.
+pub fn collect_columns(mgr: &BddManager, root: NodeId, cut: u32) -> Vec<NodeId> {
     let mut set: FastSet<NodeId> = FastSet::default();
     if mgr.level_of_node(root) >= cut && root != FALSE {
         set.insert(root);

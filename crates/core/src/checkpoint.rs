@@ -318,7 +318,7 @@ pub fn latest_checkpoint_vfs(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<Pat
     }
 }
 
-/// The newest checkpoint in `dir` that actually loads.
+/// The newest checkpoint in `dir` that actually loads through `vfs`.
 ///
 /// Scans sequence numbers from highest to lowest; a checkpoint that is
 /// truncated, checksum-corrupt, or semantically invalid is **quarantined**
@@ -326,11 +326,6 @@ pub fn latest_checkpoint_vfs(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<Pat
 /// stderr, and the scan falls back to the previous sequence number. This
 /// is what makes one torn latest checkpoint degrade recovery instead of
 /// bricking it. Returns `Ok(None)` when no loadable checkpoint exists.
-pub fn latest_valid_checkpoint(dir: &Path) -> io::Result<Option<(PathBuf, LoadedCheckpoint)>> {
-    latest_valid_checkpoint_vfs(&StdVfs, dir)
-}
-
-/// [`latest_valid_checkpoint`] through an explicit [`Vfs`].
 pub fn latest_valid_checkpoint_vfs(
     vfs: &dyn Vfs,
     dir: &Path,

@@ -48,9 +48,9 @@ pub mod support;
 pub use alg33::Alg33Options;
 pub use cf::{Cf, ChoiceError, IsfBdds};
 pub use checkpoint::{
-    latest_checkpoint, latest_checkpoint_vfs, latest_valid_checkpoint, latest_valid_checkpoint_vfs,
-    load_checkpoint, load_checkpoint_vfs, quarantine_name, CheckpointError, Checkpointer,
-    FixpointCursor, LoadedCheckpoint, Progress,
+    latest_checkpoint, latest_checkpoint_vfs, latest_valid_checkpoint_vfs, load_checkpoint,
+    load_checkpoint_vfs, quarantine_name, CheckpointError, Checkpointer, FixpointCursor,
+    LoadedCheckpoint, Progress,
 };
 pub use cover::CompatGraph;
 pub use degrade::{DegradationEvent, DegradationReport, DegradeAction, Phase};

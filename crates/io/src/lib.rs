@@ -9,7 +9,7 @@
 //!   ROM process per cell, rails as internal wires.
 //! * [`verilog_parse`] — the matching reader: parses the emitted
 //!   Verilog-2001 subset back into an AST so artifacts can be statically
-//!   validated (`bddcf lint`) instead of trusted write-only.
+//!   validated (`bddcf check`) instead of trusted write-only.
 //! * [`cascade_text`] — a plain-text save/load format for synthesized
 //!   cascades (generate tables once, ship them).
 

@@ -6,9 +6,9 @@
 //! parses every value before it starts work, and a flag left out takes its
 //! default from the options type it sets.
 //!
-//! `check` and `lint` run each benchmark inside a panic quarantine: a
-//! panicking benchmark poisons only its own run, the batch continues, and
-//! the quarantined entries are listed (with the panic payload) at the end.
+//! `check` runs each benchmark inside a panic quarantine: a panicking
+//! benchmark poisons only its own run, the batch continues, and the
+//! quarantined entries are listed (with the panic payload) at the end.
 //! `chaos` quarantines each phase subject the same way and reports a
 //! panic as a violation.
 //!
@@ -124,12 +124,6 @@ const COMMANDS: &[Command] = &[
         check,
     ),
     (
-        "lint",
-        "[label-substring...] [--suite small|table4] [--max-iter N]
-[--panic-probe] [--finding-probe]",
-        lint,
-    ),
-    (
         "resume",
         "<file.bddcfck> [--max-iter N] [--max-in K] [--max-out L]
 [--save out.cas] [--verilog out.v]",
@@ -210,9 +204,9 @@ CRASH SAFETY:
   reduce --method fixpoint --checkpoint-dir D
       write an atomic checkpoint into D at every Algorithm 3.3 level
       boundary (resume later with `bddcf resume D/ckpt-NNNNNN.bddcfck`)
-  check | lint --panic-probe
+  check --panic-probe
       append a deliberately panicking benchmark to prove quarantine
-  check | lint --finding-probe
+  check --finding-probe
       append a benchmark that violates Definition 2.4 to prove the
       findings exit path (exit 1)
 
@@ -690,19 +684,12 @@ fn select_suite(args: &Args) -> Result<Vec<bddcf::funcs::BenchmarkEntry>, String
     Ok(selected)
 }
 
-/// The shared loop of `check` and `lint`: runs `run` on each
-/// selected benchmark, plus any requested probe, inside a panic
-/// quarantine, lists the quarantined entries, and folds both into the
-/// verdict. `run` prints the benchmark's lines and returns whether it was
-/// clean; `failed` completes the stderr summary of a failing batch and
-/// `passed` renders the closing line from the number of selected
-/// benchmarks.
-fn quarantined_batch(
-    args: &Args,
-    failed: &str,
-    passed: impl FnOnce(usize) -> String,
-    mut run: impl FnMut(&str, &dyn bddcf::funcs::Benchmark) -> bool,
-) -> Result<Outcome, CliError> {
+fn check(args: &Args) -> Result<Outcome, CliError> {
+    let defaults = bddcf::check::CheckOptions::default();
+    let options = bddcf::check::CheckOptions {
+        samples: args.or("--samples", defaults.samples)?,
+        max_iterations: args.or("--max-iter", defaults.max_iterations)?,
+    };
     let selected = select_suite(args)?;
     let panic_probe = args.has("--panic-probe");
     let mut entries: Vec<(&str, &dyn bddcf::funcs::Benchmark)> = selected
@@ -719,40 +706,15 @@ fn quarantined_batch(
     let mut quarantined = Vec::new();
     bddcf::check::with_quiet_panics(|| {
         for (label, benchmark) in entries {
-            match bddcf::check::run_quarantined(label, || run(label, benchmark)) {
-                Ok(true) => {}
-                Ok(false) => failures += 1,
-                Err(q) => quarantined.push(q),
-            }
-        }
-    });
-    for q in &quarantined {
-        println!("QUAR {q}");
-    }
-    if failures > 0 || quarantined.len() != usize::from(panic_probe) {
-        eprintln!(
-            "{failures} benchmark(s) {failed}, {} quarantined",
-            quarantined.len()
-        );
-        return Ok(Outcome::Findings);
-    }
-    println!("{}", passed(selected.len()));
-    Ok(Outcome::Clean)
-}
-
-fn check(args: &Args) -> Result<Outcome, CliError> {
-    let defaults = bddcf::check::CheckOptions::default();
-    let options = bddcf::check::CheckOptions {
-        samples: args.or("--samples", defaults.samples)?,
-        max_iterations: args.or("--max-iter", defaults.max_iterations)?,
-    };
-    quarantined_batch(
-        args,
-        "violated pipeline invariants",
-        |n| format!("all {n} benchmark(s) pass every invariant layer"),
-        |label, benchmark| {
-            let result = bddcf::check::check_benchmark(benchmark, &options);
-            let clean = result.report.is_clean();
+            let checked = || bddcf::check::check_benchmark(benchmark, &options);
+            let result = match bddcf::check::run_quarantined(label, checked) {
+                Ok(result) => result,
+                Err(q) => {
+                    quarantined.push(q);
+                    continue;
+                }
+            };
+            let clean = result.is_clean();
             println!(
                 "{:4} {label:<28} width {} -> {}, {} cascade(s), {} cell(s)",
                 if clean { "ok" } else { "FAIL" },
@@ -764,39 +726,28 @@ fn check(args: &Args) -> Result<Outcome, CliError> {
             for finding in result.report.findings() {
                 println!("     {finding}");
             }
-            clean
-        },
-    )
-}
-
-fn lint(args: &Args) -> Result<Outcome, CliError> {
-    let defaults = bddcf::check::LintOptions::default();
-    let options = bddcf::check::LintOptions {
-        max_iterations: args.or("--max-iter", defaults.max_iterations)?,
-    };
-    quarantined_batch(
-        args,
-        "produced artifacts with lint findings",
-        |n| {
-            format!(
-                "all {n} benchmark(s) emit artifacts that parse back, round-trip \
-                 byte-faithfully, and refine their specifications"
-            )
-        },
-        |label, benchmark| {
-            let result = bddcf::check::lint_benchmark(benchmark, &options);
-            let clean = result.report.is_clean();
-            println!(
-                "{:4} {label:<28} {} artifact(s) analyzed",
-                if clean { "ok" } else { "FAIL" },
-                result.artifacts
-            );
-            for finding in result.report.findings() {
-                println!("{finding}");
+            for finding in result.artifacts.findings() {
+                println!("     {finding}");
             }
-            clean
-        },
-    )
+            failures += usize::from(!clean);
+        }
+    });
+    for q in &quarantined {
+        println!("QUAR {q}");
+    }
+    if failures > 0 || quarantined.len() != usize::from(panic_probe) {
+        eprintln!(
+            "{failures} benchmark(s) violated pipeline invariants, {} quarantined",
+            quarantined.len()
+        );
+        return Ok(Outcome::Findings);
+    }
+    println!(
+        "all {} benchmark(s) pass every invariant layer; their artifacts parse \
+         back, round-trip byte-faithfully, and refine their specifications",
+        selected.len()
+    );
+    Ok(Outcome::Clean)
 }
 
 fn resume(args: &Args) -> Result<Outcome, CliError> {

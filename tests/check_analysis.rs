@@ -1,4 +1,4 @@
-//! Integration tests for the `bddcf check` analysis: the four invariant
+//! Integration tests for the `bddcf check` analysis: the five invariant
 //! layers over registry benchmarks (clean pipelines pass, seeded
 //! corruptions are caught, and the CLI exit status reflects the verdict).
 
@@ -16,7 +16,7 @@ fn bddcf() -> Command {
 }
 
 #[test]
-fn registry_benchmarks_pass_all_four_layers() {
+fn registry_benchmarks_pass_all_five_layers() {
     // Acceptance: `bddcf check` runs every layer on at least two registry
     // functions. The library entry point is exercised directly here; the
     // CLI wrapper is covered below.
@@ -32,6 +32,12 @@ fn registry_benchmarks_pass_all_four_layers() {
             "{}: {}",
             entry.label,
             result.report
+        );
+        assert!(
+            result.artifacts.is_clean(),
+            "{}: {}",
+            entry.label,
+            result.artifacts
         );
         assert!(result.num_cascades >= 1, "{}: no cascade", entry.label);
         checked += 1;

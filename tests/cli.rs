@@ -215,8 +215,8 @@ fn conflicting_pla_is_rejected() {
 }
 
 #[test]
-fn lint_certifies_the_translation_chain_for_one_benchmark() {
-    let out = bddcf().arg("lint").arg("3-nary").output().expect("spawn");
+fn check_certifies_the_translation_chain_for_one_benchmark() {
+    let out = bddcf().arg("check").arg("3-nary").output().expect("spawn");
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -224,18 +224,19 @@ fn lint_certifies_the_translation_chain_for_one_benchmark() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("ok"), "{text}");
-    assert!(text.contains("artifact(s) analyzed"), "{text}");
-    assert!(text.contains("round-trip"), "{text}");
+    assert!(text.contains("round-trip byte-faithfully"), "{text}");
 }
 
 #[test]
-fn lint_rejects_unknown_selections() {
+fn check_rejects_unknown_selections() {
     let out = bddcf()
-        .arg("lint")
+        .arg("check")
         .arg("no-such-benchmark")
         .output()
         .expect("spawn");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2), "an empty selection is usage");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("no benchmark in the"), "stderr: {err}");
 }
 
 /// Budgeted runs degrade gracefully by default (exit 0) but exit with the
@@ -297,8 +298,8 @@ fn budget_exhaustion_exits_3_only_under_require_complete() {
 /// mid-batch, restarts it on the same spool, and must certify that no
 /// accepted request was lost.
 #[test]
-fn loadtest_survives_a_sigkill_of_the_child_daemon() {
-    let dir = std::env::temp_dir().join(format!("bddcf-cli-loadtest-{}", std::process::id()));
+fn chaos_survives_a_sigkill_of_the_child_daemon() {
+    let dir = std::env::temp_dir().join(format!("bddcf-cli-chaos-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = bddcf()
         .args([
@@ -401,7 +402,7 @@ fn exit_codes_distinguish_findings_from_usage_errors() {
     assert!(out.status.success(), "cascade --save for the sim case");
     for (args, says) in [
         (vec!["check", "--no-such-flag"], "does not take"),
-        (vec!["lint", "--suite", "no-such-suite"], "unknown --suite"),
+        (vec!["check", "--suite", "no-such-suite"], "unknown --suite"),
         (vec!["inject", "--no-such-flag"], "unknown subcommand"),
         (vec!["diskchaos", "--no-such-flag"], "unknown subcommand"),
         (vec!["frobnicate"], "unknown subcommand"),
@@ -427,7 +428,7 @@ fn exit_codes_distinguish_findings_from_usage_errors() {
             vec!["reduce", pla_path, "--output", &completed],
             "does not take",
         ),
-        (vec!["lint", "3-nary", "--samples", "4"], "does not take"),
+        (vec!["lint", "3-nary"], "unknown subcommand"),
         (
             vec!["inject", "3-nary", "--require-complete"],
             "unknown subcommand",
@@ -520,8 +521,8 @@ fn check_quarantines_the_panic_probe_and_exits_zero() {
 /// at every storage-event crash prefix alongside the built-in PLA by the
 /// storage phase of `bddcf chaos`.
 #[test]
-fn diskchaos_sweeps_a_registry_benchmark() {
-    let dir = std::env::temp_dir().join(format!("bddcf-cli-diskchaos-{}", std::process::id()));
+fn chaos_sweeps_a_registry_benchmark() {
+    let dir = std::env::temp_dir().join(format!("bddcf-cli-chaos-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = bddcf()
         .args([

@@ -187,7 +187,7 @@ proptest! {
         let (net, lowering) = bddcf::check::netlist_from_verilog(&parsed, "prop.v");
         prop_assert!(lowering.is_clean(), "{lowering}");
         // A random ISF may keep spec-vacuous inputs wired into ROM
-        // addresses; suppress NL007 for exactly those, as `bddcf lint` does.
+        // addresses; suppress NL007 for exactly those, as `bddcf check` does.
         let live = cf.support_inputs();
         let spec_vacuous: Vec<usize> = (0..NUM_INPUTS).filter(|i| !live.contains(i)).collect();
         let lint = bddcf::check::lint_netlist_with_spec(&net, "prop.v", &spec_vacuous);
