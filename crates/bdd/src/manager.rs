@@ -194,8 +194,9 @@ pub struct BddManager {
     caches: [ComputedTable; 4],
     /// Largest `nodes.len()` this manager generation ever reached.
     peak_nodes: usize,
-    /// Completed [`gc`](Self::gc) passes.
+    /// Completed [`gc`](Self::gc) passes, and the nodes they dropped.
     gc_runs: u64,
+    gc_reclaimed: u64,
     /// Wall-clock nanoseconds spent inside those passes.
     gc_pause_ns: u64,
     /// In-place adjacent swaps (reorder.rs), and the live nodes they
@@ -253,6 +254,7 @@ impl BddManager {
             caches: Default::default(),
             peak_nodes: 2,
             gc_runs: 0,
+            gc_reclaimed: 0,
             gc_pause_ns: 0,
             swaps: 0,
             swap_rewrites: 0,
@@ -1712,6 +1714,7 @@ impl BddManager {
             and_exists: self.caches[AND_EXISTS].stats(),
             compose: self.caches[COMPOSE].stats(),
             gc_runs: self.gc_runs,
+            gc_reclaimed: self.gc_reclaimed,
             gc_pause_ns: self.gc_pause_ns,
             swaps: self.swaps,
             swap_rewrites: self.swap_rewrites,
@@ -1811,6 +1814,7 @@ impl BddManager {
         }
         let live = new_unique.len();
         new_unique.continue_counters(&self.unique);
+        self.gc_reclaimed += (self.nodes.len() - new_nodes.len()) as u64;
         self.nodes = new_nodes;
         self.unique = new_unique;
         for cache in &mut self.caches {
@@ -2811,6 +2815,22 @@ mod tests {
         let after = mgr.engine_stats();
         assert_eq!(after.unique_lookups, before.unique_lookups);
         assert_eq!(after.unique_probes, before.unique_probes);
+    }
+
+    #[test]
+    fn gc_counts_the_nodes_it_reclaims() {
+        // Each projection is one node; all but the kept one are garbage.
+        let mut mgr = BddManager::new(6);
+        let keep = mgr.var(Var(0));
+        for i in 1..6 {
+            let _ = mgr.var(Var(i));
+        }
+        let before = mgr.engine_stats().gc_reclaimed;
+        let roots = mgr.gc(&[keep]);
+        assert_eq!(mgr.engine_stats().gc_reclaimed, before + 5);
+        // A collected arena holds no garbage, and the count only grows.
+        let _ = mgr.gc(&roots);
+        assert_eq!(mgr.engine_stats().gc_reclaimed, before + 5);
     }
 
     #[test]

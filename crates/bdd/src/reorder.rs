@@ -25,8 +25,8 @@
 //! unchanged as a set of ids, and the swap ends by recomputing
 //! `S(l + 1) = (S(l) minus its level-l nodes) ∪ (their non-FALSE children)`.
 //! A swap therefore costs and is priced in O(width). The sets are built in
-//! one sweep when a walk starts and rebuilt after every `gc`, which
-//! renumbers the nodes; they are never carried across one.
+//! one sweep once per sift (and once per `move_vars_in_place`) and rebuilt
+//! only after a `gc`, which renumbers the nodes.
 //!
 //! The swap never reads or rewrites garbage. That is sound because:
 //!
@@ -45,12 +45,14 @@
 //!    before returning, and the debug cost recount walks from the roots.
 //!
 //! Until that collection the arena is *staged*: rewritten nodes point at
-//! higher-indexed children and garbage lingers. The functional
-//! [`BddManager::swap_adjacent`] remains as the reference the tests compare
-//! against; no reorder uses it. All operation caches are cleared on a
-//! swap: the entries stay function-correct, but clearing is an O(1)
-//! generation bump and keeps every cached id accountable to the live
-//! arena.
+//! higher-indexed children and garbage lingers. No point asks where the
+//! garbage came from, so a sift carries it across variables and passes: it
+//! collects at its start and end, and mid-walk only when the arena outgrows
+//! four times the live one. The functional [`BddManager::swap_adjacent`]
+//! remains as the reference the tests compare against; no reorder uses it.
+//! All operation caches are cleared on a swap: the entries stay
+//! function-correct, but clearing is an O(1) generation bump and keeps
+//! every cached id accountable to the live arena.
 
 use crate::manager::{BddManager, NodeId, Var, FALSE, SWAP_SCRATCH, WIDTH_SCRATCH};
 use crate::table::ScratchMap;
@@ -289,9 +291,8 @@ impl BddManager {
     }
 
     /// Moves `var` to `target_level` by repeated in-place adjacent swaps,
-    /// then collects garbage keeping `roots` (and every registered root)
-    /// alive. Returns the remapped roots; every other id is invalidated,
-    /// as after [`gc`](Self::gc).
+    /// then collects garbage keeping `roots` alive. Returns the remapped
+    /// roots; every other id is invalidated, as after [`gc`](Self::gc).
     pub fn move_var_to_level(
         &mut self,
         var: Var,
@@ -318,74 +319,24 @@ impl BddManager {
         self.gc(roots)
     }
 
-    /// Walks `var` to `target_level` by in-place swaps, pricing nothing.
+    /// Walks `var` to level `target` by in-place swaps, pricing nothing.
     /// The arena stays staged until the caller collects.
-    fn walk_in_place(&mut self, sets: &mut CrossingSets, var: Var, target_level: u32) {
+    fn walk_in_place(&mut self, sets: &mut CrossingSets, var: Var, target: u32) {
         let mut level = self.level_of(var);
-        while level != target_level {
-            let next = if target_level > level {
-                level + 1
-            } else {
-                level - 1
-            };
+        while level != target {
+            let next = if target > level { level + 1 } else { level - 1 };
             self.swap_in_place(sets, level.min(next));
             level = next;
         }
     }
 
     /// Full recount of the sifting cost, independent of the crossing sets
-    /// (the sifter's debug cross-check and its per-pass comparison).
+    /// (the sifter's debug cross-check).
     fn reorder_cost(&self, roots: &[NodeId], cost: ReorderCost) -> usize {
         match cost {
             ReorderCost::NodeCount => self.node_count_multi(roots),
             ReorderCost::SumOfWidths => self.width_profile(roots).sum(),
         }
-    }
-
-    /// One sifting pass: every variable is moved through its allowed window
-    /// and parked at its best position. Returns the remapped roots.
-    ///
-    /// `constraints` restrict the positions each variable may take (pairs
-    /// that must keep their relative order); the initial order must satisfy
-    /// them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the current order violates `constraints`.
-    pub fn sift_pass(
-        &mut self,
-        roots: &[NodeId],
-        constraints: &SiftConstraints,
-        cost: ReorderCost,
-    ) -> Vec<NodeId> {
-        assert!(
-            constraints.check(self),
-            "initial variable order violates the sifting constraints"
-        );
-        let mut roots = roots.to_vec();
-        // Sift variables in decreasing order of how many nodes they label —
-        // Rudell's heuristic: fat levels first.
-        let mut label_count = vec![0usize; self.num_vars()];
-        for n in self.descendants(&roots) {
-            label_count[self.var_of(n).0 as usize] += 1;
-        }
-        let mut vars: Vec<Var> = (0..self.num_vars() as u32).map(Var).collect();
-        vars.sort_unstable_by_key(|v| std::cmp::Reverse(label_count[v.0 as usize]));
-
-        for var in vars {
-            if label_count[var.0 as usize] == 0 {
-                continue;
-            }
-            // Swap garbage accumulates during a walk and inflates every
-            // traversal; collect whenever the arena heavily outgrows its
-            // starting size. The factor trades arena bytes for pause time:
-            // traversals skip garbage (they follow edges), so a larger
-            // factor only costs memory and per-collection scan length.
-            let gc_threshold = self.arena_len() * 4 + 65_536;
-            roots = self.sift_one(var, &roots, constraints, cost, gc_threshold);
-            roots = self.gc(&roots);
-        }
-        roots
     }
 
     /// Rearranges the current order into the nearest one satisfying
@@ -434,9 +385,11 @@ impl BddManager {
     }
 
     /// Repeated sifting passes until the cost stops improving (at most
-    /// `max_passes`). Returns the remapped roots. An initial order that
-    /// violates `constraints` is legalized first
-    /// ([`BddManager::legalize_order`]).
+    /// `max_passes`), after legalizing an order that violates `constraints`
+    /// ([`BddManager::legalize_order`]); zero passes only legalize. Returns the
+    /// remapped roots. The sift collects at its start and end, and rebuilds the
+    /// crossing sets it carries through every variable and pass only after a
+    /// collection mid-walk.
     pub fn sift(
         &mut self,
         roots: &[NodeId],
@@ -444,40 +397,68 @@ impl BddManager {
         cost: ReorderCost,
         max_passes: usize,
     ) -> Vec<NodeId> {
-        let mut roots = self.legalize_order(roots, constraints);
-        let mut best = self.reorder_cost(&roots, cost);
+        // Traversals skip garbage: a larger factor costs only memory and scan.
+        let threshold_for = |live| live * 4 + 65_536;
+        self.sift_with(roots, constraints, cost, max_passes, threshold_for)
+    }
+
+    /// [`sift`](Self::sift), collecting once the arena passes
+    /// `threshold_for(live)`; tests force a collection per swap, or none.
+    fn sift_with(
+        &mut self,
+        roots: &[NodeId],
+        constraints: &SiftConstraints,
+        cost: ReorderCost,
+        max_passes: usize,
+        threshold_for: fn(usize) -> usize,
+    ) -> Vec<NodeId> {
+        let roots = self.legalize_order(roots, constraints);
+        if max_passes == 0 {
+            return roots;
+        }
+        // Drop what building the roots left, so the threshold rests on live nodes.
+        let mut run = SiftRun::collect(self, &roots, threshold_for);
+        let mut best = run.sets.cost(cost);
         for _ in 0..max_passes {
-            roots = self.sift_pass(&roots, constraints, cost);
-            let now = self.reorder_cost(&roots, cost);
+            self.sift_pass(&mut run, constraints, cost);
+            let now = run.sets.cost(cost);
+            debug_assert_eq!(now, self.reorder_cost(&run.roots, cost));
             if now >= best {
                 break;
             }
             best = now;
         }
-        roots
+        self.gc(&run.roots)
     }
 
-    /// Walks `var` through its allowed window, pricing every position
-    /// with the crossing sets, and parks it at the cheapest. Collects
-    /// mid-walk whenever the arena grows past `gc_threshold`; the staged
-    /// arena it leaves is the caller's to collect.
+    /// One sifting pass: every variable that labels a live node, fattest
+    /// first (Rudell's heuristic), is walked through its allowed window and
+    /// parked at its best position.
+    fn sift_pass(&mut self, run: &mut SiftRun, constraints: &SiftConstraints, cost: ReorderCost) {
+        let labelled: Vec<usize> = (0..self.num_vars() as u32)
+            .map(|v| run.sets.level_nodes[self.level_of(Var(v)) as usize])
+            .collect();
+        // Sort bare ids: the unstable sort's tie order depends on the element type.
+        let mut vars: Vec<Var> = (0..self.num_vars() as u32).map(Var).collect();
+        vars.sort_unstable_by_key(|v| std::cmp::Reverse(labelled[v.0 as usize]));
+        for var in vars.into_iter().filter(|v| labelled[v.0 as usize] > 0) {
+            self.sift_one(run, var, constraints, cost);
+        }
+    }
+
+    /// Walks `var` through its allowed window, pricing each position with
+    /// the carried crossing sets, and parks it at the cheapest, in place.
     fn sift_one(
         &mut self,
+        run: &mut SiftRun,
         var: Var,
-        roots: &[NodeId],
         constraints: &SiftConstraints,
         cost: ReorderCost,
-        gc_threshold: usize,
-    ) -> Vec<NodeId> {
+    ) {
         let (min_level, max_level) = constraints.window(self, var);
         let start = self.level_of(var);
         debug_assert!((min_level..=max_level).contains(&start));
-        if min_level == max_level {
-            return roots.to_vec();
-        }
-        let mut roots = roots.to_vec();
-        let mut sets = CrossingSets::build(self, &roots);
-        let mut best_cost = sets.cost(cost);
+        let mut best_cost = run.sets.cost(cost);
         let mut best_level = start;
 
         // Visit the nearer end first to keep the walk short.
@@ -490,27 +471,22 @@ impl BddManager {
             let mut level = self.level_of(var);
             while level != target {
                 let next = if target > level { level + 1 } else { level - 1 };
-                self.swap_in_place(&mut sets, level.min(next));
+                self.swap_in_place(&mut run.sets, level.min(next));
                 level = next;
-                let c = sets.cost(cost);
-                debug_assert_eq!(c, self.reorder_cost(&roots, cost));
+                let c = run.sets.cost(cost);
+                debug_assert_eq!(c, self.reorder_cost(&run.roots, cost));
                 // Strictly-better keeps the first (closest) optimum.
                 if c < best_cost {
                     best_cost = c;
                     best_level = level;
                 }
-                if self.arena_len() > gc_threshold {
-                    // gc renumbers every node: rebuild the sets over the
-                    // new ids rather than carry the old ones across.
-                    roots = self.gc(&roots);
-                    sets = CrossingSets::build(self, &roots);
+                if self.arena_len() > run.gc_threshold {
+                    *run = SiftRun::collect(self, &run.roots, run.threshold_for);
                 }
             }
         }
-        // Park at the best position, in place like the walk itself. The
-        // arena stays staged until the caller (sift_pass) collects.
-        self.walk_in_place(&mut sets, var, best_level);
-        roots
+        // Only the walk collects: the next walk inherits the park's garbage.
+        self.walk_in_place(&mut run.sets, var, best_level);
     }
 
     /// Test hook for the crossing sets: builds them over `roots`, then for
@@ -535,13 +511,36 @@ impl BddManager {
     }
 }
 
+/// What one sift carries through every variable and pass: the roots,
+/// their crossing sets, and the arena length past which a swap collects.
+struct SiftRun {
+    roots: Vec<NodeId>,
+    sets: CrossingSets,
+    gc_threshold: usize,
+    threshold_for: fn(usize) -> usize,
+}
+
+impl SiftRun {
+    /// Collects the arena down to `roots`, then builds the sets over the
+    /// new ids and bases the threshold on the live length.
+    fn collect(mgr: &mut BddManager, roots: &[NodeId], threshold_for: fn(usize) -> usize) -> Self {
+        let roots = mgr.gc(roots);
+        SiftRun {
+            gc_threshold: threshold_for(mgr.arena_len()),
+            sets: CrossingSets::build(mgr, &roots),
+            roots,
+            threshold_for,
+        }
+    }
+}
+
 /// The crossing sets of every reorder walk. `sets[c]` is `S(c)` (see the
 /// module docs), so `sets[c].len()` is the unclamped width at cut `c`,
 /// `0 ≤ c ≤ t`, and the in-place swap at `l` takes the live nodes it
 /// rewrites from `sets[l]`. `level_nodes[l]` counts the members of `S(l)`
-/// at level `l`, so the `NodeCount` cost comes from the same sets. A swap
-/// at level `l` changes only `S(l + 1)`; a [`BddManager::gc`] renumbers
-/// every node, so the sets are rebuilt after each one.
+/// at level `l`, so the `NodeCount` cost and the sift's order come from
+/// the same sets. A swap at level `l` changes only `S(l + 1)`; a `gc`
+/// renumbers every node, so the sets are rebuilt after each one.
 struct CrossingSets {
     sets: Vec<Vec<u32>>,
     level_nodes: Vec<usize>,
@@ -880,28 +879,65 @@ mod tests {
     }
 
     #[test]
-    fn crossing_sets_are_rebuilt_after_a_mid_walk_gc() {
-        // A zero threshold collects after every swap; each collection
-        // renumbers the nodes, and the per-swap debug cross-check fails
-        // unless the sets are rebuilt.
-        let mut mgr = BddManager::new(6);
-        let f = interleaved_function(&mut mgr);
-        let g = {
-            let b = mgr.var(Var(1));
-            let e = mgr.var(Var(4));
-            let x = mgr.var(Var(5));
+    fn where_a_sift_collects_changes_no_decision() {
+        // A collection renumbers every node and the carried crossing sets
+        // are rebuilt after it, so a sift that collects after every walk
+        // swap must decide exactly as one that collects only at its start
+        // and end. The per-swap debug cross-check fails unless the
+        // rebuilt sets are right.
+        let mut constraints = SiftConstraints::none();
+        constraints.require_above(Var(0), Var(6));
+        let run = |threshold_for: fn(usize) -> usize| {
+            let mut mgr = BddManager::new(7);
+            let f = interleaved_function(&mut mgr);
+            let [a, b, c, e, x, y] = [0, 1, 2, 4, 5, 6].map(|i| mgr.var(Var(i)));
             let be = mgr.xor(b, e);
-            mgr.and(be, x)
+            let g = mgr.and(be, x);
+            let cy = mgr.and(c, y);
+            let ax = mgr.xor(a, x);
+            let h = mgr.or(cy, ax);
+            let truths: Vec<_> = [f, g, h].iter().map(|&r| truth_vector(&mgr, r)).collect();
+            let before = mgr.engine_stats();
+            let roots = mgr.sift_with(
+                &[f, g, h],
+                &constraints,
+                ReorderCost::SumOfWidths,
+                2,
+                threshold_for,
+            );
+            for (&root, truth) in roots.iter().zip(&truths) {
+                assert_eq!(&truth_vector(&mgr, root), truth);
+            }
+            let after = mgr.engine_stats();
+            (
+                mgr.order().to_vec(),
+                mgr.width_profile(&roots),
+                after.gc_runs - before.gc_runs,
+                after.swaps - before.swaps,
+            )
         };
-        let (tf, tg) = (truth_vector(&mgr, f), truth_vector(&mgr, g));
-        let gc_before = mgr.engine_stats().gc_runs;
-        let none = SiftConstraints::none();
-        let roots = mgr.sift_one(Var(2), &[f, g], &none, ReorderCost::SumOfWidths, 0);
-        // Var(2) walks from level 2 to 0, then down to 5: seven swaps.
-        assert_eq!(mgr.engine_stats().gc_runs, gc_before + 7);
-        let roots = mgr.gc(&roots);
-        assert_eq!(truth_vector(&mgr, roots[0]), tf);
-        assert_eq!(truth_vector(&mgr, roots[1]), tg);
+        let (order, widths, gcs, swaps) = run(|_| usize::MAX);
+        let (forced_order, forced_widths, forced_gcs, forced_swaps) = run(|_| 0);
+        assert_eq!(forced_order, order);
+        assert_eq!(forced_widths, widths);
+        assert_eq!(forced_swaps, swaps);
+        assert_eq!(gcs, 2, "one collection at the start, one at the end");
+        // At least half of the swaps walk (a park never retraces more than
+        // its walk), and each walk swap collected.
+        assert!(
+            swaps > 0 && forced_gcs >= gcs + swaps / 2,
+            "{forced_gcs} of {swaps}"
+        );
+    }
+
+    #[test]
+    fn a_sift_of_zero_passes_only_legalizes() {
+        let mut mgr = BddManager::new(4);
+        let f = interleaved_function(&mut mgr);
+        let before = mgr.engine_stats().gc_runs;
+        let roots = mgr.sift(&[f], &SiftConstraints::none(), ReorderCost::SumOfWidths, 0);
+        assert_eq!(roots, vec![f]);
+        assert_eq!(mgr.engine_stats().gc_runs, before);
     }
 
     #[test]

@@ -624,6 +624,8 @@ pub struct EngineStats {
     pub compose: CacheStats,
     /// Mark-and-rebuild collections completed.
     pub gc_runs: u64,
+    /// Nodes those collections dropped from the arena.
+    pub gc_reclaimed: u64,
     /// Wall-clock nanoseconds spent inside those collections.
     pub gc_pause_ns: u64,
     /// In-place adjacent-level swaps run by the reorders.

@@ -30,20 +30,17 @@ impl Cf {
     }
 
     /// Optimizes the variable order by repeated constrained sifting passes
-    /// (at most `max_passes`), keeping χ and the ISF record consistent.
-    /// Returns the achieved cost.
+    /// (at most `max_passes`), keeping χ and the ISF record consistent and,
+    /// once a pass has run, collected. Returns the achieved cost.
     pub fn optimize_order(&mut self, cost: ReorderCost, max_passes: usize) -> usize {
         let constraints = self.sift_constraints();
-        let num_outputs = self.layout().num_outputs();
         let mut roots = vec![self.root()];
         roots.extend(self.isf().roots());
         let remapped = self
             .manager_mut_for_sift()
             .sift(&roots, &constraints, cost, max_passes);
-        let new_root = remapped[0];
-        let new_isf = IsfBdds::from_roots(&remapped[1..], num_outputs);
-        self.set_state(new_root, new_isf);
-        self.collect();
+        let isf = IsfBdds::from_roots(&remapped[1..], self.layout().num_outputs());
+        self.set_state(remapped[0], isf);
         match cost {
             ReorderCost::NodeCount => self.node_count(),
             ReorderCost::SumOfWidths => self.width_profile().sum(),
@@ -104,6 +101,14 @@ mod tests {
         let before = cf.width_profile().sum();
         let after = cf.optimize_order(ReorderCost::SumOfWidths, 3);
         assert!(after <= before, "sifting must not increase sum-of-widths");
+    }
+
+    #[test]
+    fn sifting_collects_once_at_each_end() {
+        let mut cf = Cf::from_truth_table(&TruthTable::paper_table1());
+        let before = cf.manager().engine_stats().gc_runs;
+        cf.optimize_order(ReorderCost::SumOfWidths, 2);
+        assert_eq!(cf.manager().engine_stats().gc_runs, before + 2);
     }
 
     #[test]

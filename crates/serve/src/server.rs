@@ -753,6 +753,10 @@ fn stats_payload(inner: &Arc<Inner>, id: &str) -> Vec<u8> {
                     n(counters.engine_cache_misses),
                 ),
                 ("engine_gc_runs".into(), n(counters.engine_gc_runs)),
+                (
+                    "engine_gc_reclaimed".into(),
+                    n(counters.engine_gc_reclaimed),
+                ),
                 ("engine_gc_pause_ns".into(), n(counters.engine_gc_pause_ns)),
             ]),
         ),

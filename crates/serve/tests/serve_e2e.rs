@@ -114,6 +114,26 @@ fn synth_round_trip_then_cache_hit_is_byte_identical() {
     let local = execute(&tiny_spec(), None, None, false).expect("local");
     assert_eq!(local.result, result);
 
+    // The stats op sums the completed job's collections and the nodes
+    // they reclaimed.
+    let stats_reply = client.roundtrip_raw(
+        &Request {
+            id: "s".into(),
+            body: RequestBody::Stats,
+        }
+        .to_bytes(),
+    );
+    let value = json::parse(&stats_reply).expect("stats json");
+    let counter = |key: &str| {
+        value
+            .get("stats")
+            .and_then(|s| s.get(key))
+            .and_then(json::Json::as_i64)
+            .expect("engine counter")
+    };
+    assert!(counter("engine_gc_runs") > 0);
+    assert!(counter("engine_gc_reclaimed") > 0);
+
     let shutdown = Request {
         id: "q".into(),
         body: RequestBody::Shutdown(ShutdownMode::Drain),

@@ -472,8 +472,9 @@ fn print_engine_stats(stats: &bddcf::bdd::EngineStats) {
         cache.evictions
     );
     println!(
-        "          gc {} run(s), {:.3} ms paused",
+        "          gc {} run(s), {} node(s) reclaimed, {:.3} ms paused",
         stats.gc_runs,
+        stats.gc_reclaimed,
         stats.gc_pause_ns as f64 / 1e6
     );
     println!(

@@ -115,6 +115,17 @@ fn stats_reports_all_treatments() {
         .collect();
     assert_eq!(counts.len(), 2, "{reorder}");
     assert!(counts[0] > 0, "{reorder}");
+    // So are the collections, and the nodes they reclaimed.
+    let gc = text
+        .lines()
+        .find_map(|line| line.trim_start().strip_prefix("gc "))
+        .unwrap_or_else(|| panic!("no gc line in {text}"));
+    let counts: Vec<u64> = gc
+        .split(", ")
+        .filter_map(|part| part.split(' ').next()?.parse().ok())
+        .collect();
+    assert_eq!(counts.len(), 2, "{gc}");
+    assert!(counts[0] > 0 && counts[1] > 0, "{gc}");
 }
 
 #[test]
