@@ -27,7 +27,7 @@
 
 use crate::budget::{Budget, Error};
 use crate::hasher::FastMap;
-use crate::table::{held, ComputedTable, EngineStats, Node, ScratchMap, UniqueTable, NIL};
+use crate::table::{held, ComputedTable, EngineStats, Node, UniqueTable, NIL};
 use std::fmt;
 
 /// A Boolean variable, identified by a stable index.
@@ -169,10 +169,6 @@ const EXISTS: usize = 1;
 const AND_EXISTS: usize = 2;
 const COMPOSE: usize = 3;
 
-/// Indices of the two scratch maps in `BddManager::scratch`.
-pub(crate) const SWAP_SCRATCH: usize = 0;
-pub(crate) const WIDTH_SCRATCH: usize = 1;
-
 /// Level reported for terminal nodes: below every variable.
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
@@ -199,14 +195,11 @@ pub struct BddManager {
     gc_reclaimed: u64,
     /// Wall-clock nanoseconds spent inside those passes.
     gc_pause_ns: u64,
-    /// In-place adjacent swaps (reorder.rs), and the live nodes they
-    /// rewrote.
+    /// In-place adjacent swaps (reorder.rs), the live nodes they rewrote,
+    /// and the orphans they freed.
     swaps: u64,
     swap_rewrites: u64,
-    /// Reusable stamped maps (reorder.rs), loaned out per use: the memo of
-    /// [`swap_adjacent`](Self::swap_adjacent)'s rebuild (`SWAP_SCRATCH`)
-    /// and the visit-set of the sifter's crossing sets (`WIDTH_SCRATCH`).
-    scratch: [ScratchMap; 2],
+    swap_reclaimed: u64,
     var_at_level: Vec<Var>,
     level_of_var: Vec<u32>,
     budget: Budget,
@@ -258,7 +251,7 @@ impl BddManager {
             gc_pause_ns: 0,
             swaps: 0,
             swap_rewrites: 0,
-            scratch: Default::default(),
+            swap_reclaimed: 0,
             var_at_level: (0..num_vars as u32).map(Var).collect(),
             level_of_var: (0..num_vars as u32).collect(),
             budget: Budget::default(),
@@ -304,38 +297,21 @@ impl BddManager {
         self.nodes.len()
     }
 
-    /// Takes scratch map `which` (`SWAP_SCRATCH` or `WIDTH_SCRATCH`) out of
-    /// the manager, begun over the current arena. The caller must give it
-    /// back via [`put_scratch`](Self::put_scratch) so the next use reuses
-    /// the allocation.
-    pub(crate) fn take_scratch(&mut self, which: usize) -> ScratchMap {
-        let mut scratch = std::mem::take(&mut self.scratch[which]);
-        scratch.begin(self.nodes.len());
-        scratch
-    }
-
-    /// Returns scratch map `which`, taken by
-    /// [`take_scratch`](Self::take_scratch).
-    pub(crate) fn put_scratch(&mut self, which: usize, scratch: ScratchMap) {
-        self.scratch[which] = scratch;
-    }
-
     // ---------------------------------------------------------------------
     // In-place swap support (reorder.rs)
     // ---------------------------------------------------------------------
 
-    /// Rewrites the node at `raw` to `(var, lo, hi)` without moving it.
-    /// Unique-table linkage is the caller's job: the node must be unlinked
-    /// before the rewrite and re-inserted after.
-    pub(crate) fn set_node_in_place(&mut self, raw: u32, var: Var, lo: NodeId, hi: NodeId) {
-        self.check_brand(lo);
-        self.check_brand(hi);
-        self.nodes[raw as usize] = Node {
-            var: var.0,
-            lo,
-            hi,
-            next: NIL,
-        };
+    /// The raw `(var, lo, hi)` fields of the node at `raw`, unchecked. The
+    /// terminals carry a sentinel variable that matches no [`Var`].
+    #[inline]
+    pub(crate) fn fields(&self, raw: u32) -> (u32, NodeId, NodeId) {
+        let n = &self.nodes[raw as usize];
+        (n.var, n.lo, n.hi)
+    }
+
+    /// Nodes linked in the unique table, live or tabled garbage.
+    pub(crate) fn unique_len(&self) -> usize {
+        self.unique.len()
     }
 
     /// Unlinks the node at `raw` from the unique table, reporting whether
@@ -344,30 +320,82 @@ impl BddManager {
         self.unique.unlink_checked(&mut self.nodes, raw)
     }
 
-    /// Counted unique-table probe by key (in-place swap collision check).
-    pub(crate) fn unique_find(&mut self, var: Var, lo: NodeId, hi: NodeId) -> Option<u32> {
-        self.unique.find(&self.nodes, var.0, lo.0, hi.0)
-    }
-
-    /// Links the (already rewritten) node at `raw` into the unique table.
-    /// The caller guarantees its key is absent. Growth is not checked: the
-    /// in-place swap only re-inserts nodes it just unlinked, so the load
-    /// factor never rises across the call.
-    pub(crate) fn unique_insert_raw(&mut self, raw: u32) {
-        let n = self.nodes[raw as usize];
+    /// The in-place swap's `mk` for its cofactors: the canonical node for
+    /// `(var, lo, hi)`, found or inserted with one hash of the key. A new
+    /// node takes a slot from `free` before the arena grows. The budget is
+    /// not consulted: `mk` suspends it too, and the reorders check
+    /// [`is_poisoned`](Self::is_poisoned) once when they start.
+    pub(crate) fn find_or_insert(
+        &mut self,
+        var: Var,
+        lo: NodeId,
+        hi: NodeId,
+        free: &mut Vec<u32>,
+    ) -> NodeId {
+        self.check_brand(lo);
+        self.check_brand(hi);
+        if lo == hi {
+            return lo;
+        }
         debug_assert!(
-            self.unique
-                .find_quiet(&self.nodes, n.var, n.lo.0, n.hi.0)
-                .is_none(),
-            "one tabled node per key"
+            self.level_of(var) < self.level_of_node(lo)
+                && self.level_of(var) < self.level_of_node(hi),
+            "find_or_insert: variable {var:?} not above its children"
         );
-        self.unique.insert(&mut self.nodes, raw);
+        let hash = UniqueTable::hash(var.0, lo.0, hi.0);
+        if let Some(raw) = self
+            .unique
+            .find_hashed(&self.nodes, hash, var.0, lo.0, hi.0)
+        {
+            return self.brand(raw);
+        }
+        if self.unique.should_grow() {
+            self.unique.grow(&mut self.nodes);
+        }
+        let node = Node {
+            var: var.0,
+            lo,
+            hi,
+            next: NIL,
+        };
+        let raw = match free.pop() {
+            Some(raw) => {
+                self.nodes[raw as usize] = node;
+                raw
+            }
+            None => {
+                assert!(self.nodes.len() < u32::MAX as usize, "node arena overflow");
+                self.nodes.push(node);
+                self.peak_nodes = self.peak_nodes.max(self.nodes.len());
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.unique.insert_hashed(&mut self.nodes, raw, hash);
+        self.brand(raw)
     }
 
-    /// Records one in-place swap that rewrote `rewrites` live nodes.
-    pub(crate) fn count_swap(&mut self, rewrites: u64) {
+    /// Rewrites the unlinked node at `raw` to `(var, lo, hi)` where it sits
+    /// and links it under the new key, displacing a garbage twin that holds
+    /// the key in the same walk of its chain (see
+    /// [`UniqueTable::link_displacing`]).
+    pub(crate) fn relink_as(&mut self, raw: u32, var: Var, lo: NodeId, hi: NodeId) {
+        self.check_brand(lo);
+        self.check_brand(hi);
+        self.nodes[raw as usize] = Node {
+            var: var.0,
+            lo,
+            hi,
+            next: NIL,
+        };
+        self.unique.link_displacing(&mut self.nodes, raw);
+    }
+
+    /// Records one in-place swap that rewrote `rewrites` live nodes and
+    /// freed `reclaimed` orphans.
+    pub(crate) fn count_swap(&mut self, rewrites: u64, reclaimed: u64) {
         self.swaps += 1;
         self.swap_rewrites += rewrites;
+        self.swap_reclaimed += reclaimed;
     }
 
     /// Current level (position in the order, `0` = top) of `var`.
@@ -1701,7 +1729,6 @@ impl BddManager {
     /// manager clones its counters.
     pub fn engine_stats(&self) -> EngineStats {
         let caches: u64 = self.caches.iter().map(ComputedTable::held_bytes).sum();
-        let scratch: u64 = self.scratch.iter().map(ScratchMap::held_bytes).sum();
         EngineStats {
             peak_nodes: self.peak_nodes as u64,
             peak_arena_bytes: (self.peak_nodes * std::mem::size_of::<Node>()) as u64,
@@ -1718,7 +1745,8 @@ impl BddManager {
             gc_pause_ns: self.gc_pause_ns,
             swaps: self.swaps,
             swap_rewrites: self.swap_rewrites,
-            held_bytes: held(&self.nodes) + self.unique.held_bytes() + caches + scratch,
+            swap_reclaimed: self.swap_reclaimed,
+            held_bytes: held(&self.nodes) + self.unique.held_bytes() + caches,
         }
     }
 
@@ -1731,8 +1759,7 @@ impl BddManager {
     /// manager moves to a fresh brand epoch, so dereferencing a stale
     /// pre-gc id panics instead of denoting the wrong function. Every
     /// per-manager table then follows the live arena: the unique table and
-    /// the four (emptied) operation caches are sized for the survivors, and
-    /// a scratch map far larger than them is freed.
+    /// the four (emptied) operation caches are sized for the survivors.
     pub fn gc(&mut self, roots: &[NodeId]) -> Vec<NodeId> {
         let pause = std::time::Instant::now();
         for &r in roots {
@@ -1819,9 +1846,6 @@ impl BddManager {
         self.unique = new_unique;
         for cache in &mut self.caches {
             cache.reset_for(live);
-        }
-        for scratch in &mut self.scratch {
-            scratch.trim_to(live);
         }
         self.gc_runs += 1;
         self.gc_pause_ns += pause.elapsed().as_nanos() as u64;

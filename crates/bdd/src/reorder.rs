@@ -22,39 +22,56 @@
 //! `c`. The swap of `l` and `l + 1` rewrites those live nodes where they
 //! sit, so every live id keeps its function, and every cut except `l + 1`
 //! keeps its set of variables above: every `S(k)` with `k ≠ l + 1` is
-//! unchanged as a set of ids, and the swap ends by recomputing
-//! `S(l + 1) = (S(l) minus its level-l nodes) ∪ (their non-FALSE children)`.
-//! A swap therefore costs and is priced in O(width). The sets are built in
-//! one sweep once per sift (and once per `move_vars_in_place`) and rebuilt
-//! only after a `gc`, which renumbers the nodes.
+//! unchanged as a set of ids, and the swap recomputes
+//! `S(l + 1) = (S(l) minus its level-l nodes) ∪ (their non-FALSE children)`
+//! in the same pass over `S(l)` that rewrites. A swap therefore costs and
+//! is priced in O(width). The sets are built in one sweep once per walk.
+//!
+//! The swap also frees its *orphans*: the live `v`-nodes it leaves with no
+//! live parent and no root pointer. After the swap `u` sits below `v`, so
+//! no `u`-node points at a `v`-node, and an old `v`-node stays live only if
+//! an edge from above cut `l` or a root reaches it, which is membership in
+//! `S(l)`. So the orphans are exactly the `v`-labelled members of the old
+//! `S(l + 1)` that are not in `S(l)`. Every child of an orphan is a child
+//! of a rewritten node's new cofactors (or is one), so nothing deeper is
+//! orphaned, and no reference counts are needed. The swap unlinks each
+//! orphan and pushes its slot on the walk's free list, which later
+//! cofactor `mk`s take before they grow the arena. A walk that starts on a
+//! collected arena therefore keeps the unique table at exactly the live
+//! nodes after every swap.
 //!
 //! The swap never reads or rewrites garbage. That is sound because:
 //!
 //! 1. a member of `S(l)` at level `l` is live, hence tabled, so unlinking
-//!    it before its rewrite always succeeds (`debug_assert`-ed);
+//!    it before its rewrite always succeeds (`debug_assert`-ed), and so
+//!    does unlinking an orphan;
 //! 2. if the rewritten key `(v, G0, G1)` is already tabled by some `H`,
 //!    `H` is garbage — before the swap `u` sat above `v`, so a `v`-node
 //!    with a `u`-labelled child broke the order and cannot have been live
 //!    — and the swap unlinks it unconditionally;
 //! 3. garbage keeps its fields, so it may stay tabled under a key that
-//!    breaks the current order, but `mk` never returns such a node: it
-//!    builds its key from live children below the variable, and a tabled
-//!    node whose key matches has exactly the fields `mk` would build, so
-//!    finding it is a sound resurrection;
+//!    breaks the current order, or names a child whose freed slot now holds
+//!    another node, but `mk` never returns such a node: it builds its key
+//!    from live children below the variable, and a tabled node whose key
+//!    matches has exactly the fields `mk` would build, so finding it is a
+//!    sound resurrection;
 //! 4. nothing else reads the arena mid-walk: every public reorder collects
 //!    before returning, and the debug cost recount walks from the roots.
 //!
-//! Until that collection the arena is *staged*: rewritten nodes point at
-//! higher-indexed children and garbage lingers. No point asks where the
-//! garbage came from, so a sift carries it across variables and passes: it
-//! collects at its start and end, and mid-walk only when the arena outgrows
-//! four times the live one. The functional [`BddManager::swap_adjacent`]
-//! remains as the reference the tests compare against; no reorder uses it.
-//! All operation caches are cleared on a swap: the entries stay
-//! function-correct, but clearing is an O(1) generation bump and keeps
-//! every cached id accountable to the live arena.
+//! Points 2 and 3 arise only in a walk that starts with tabled garbage: the
+//! legalize moves, which run before a sift's opening collection, and
+//! `legalize_order`, `move_var_to_level` and `rebuild_order` on an arena
+//! that was not just collected. Until the walk's closing collection the
+//! arena is *staged*: rewritten nodes and reused slots need not follow
+//! their children, and garbage from before the walk lingers. A sift
+//! collects exactly twice, when it starts and when it ends. The functional
+//! [`BddManager::swap_adjacent`] remains as the reference the tests compare
+//! against; no reorder uses it. All operation caches are cleared on a swap:
+//! the entries stay function-correct, but clearing is an O(1) generation
+//! bump and keeps every cached id accountable to the live arena.
 
-use crate::manager::{BddManager, NodeId, Var, FALSE, SWAP_SCRATCH, WIDTH_SCRATCH};
+use crate::budget::Error;
+use crate::manager::{BddManager, NodeId, Var, FALSE};
 use crate::table::ScratchMap;
 
 /// Cost function minimised by [`BddManager::sift`].
@@ -139,28 +156,30 @@ impl BddManager {
         // Install the new order first so mk() builds valid nodes.
         self.swap_order_entries(u, v);
         self.clear_caches();
-        // The memo is a stamped arena-indexed map owned by the manager:
-        // keys are pre-swap node ids (all below the arena length at take
-        // time), so repeated swaps reuse one allocation and never hash.
-        let mut memo = self.take_scratch(SWAP_SCRATCH);
+        // The memo is keyed by pre-swap node ids, all below the arena
+        // length now, so it never hashes.
+        let mut memo = ScratchMap::default();
+        memo.begin(self.arena_len());
         let result = roots
             .iter()
             .map(|&r| self.swap_rebuild(r, u, v, level, &mut memo))
             .collect();
-        self.put_scratch(SWAP_SCRATCH, memo);
         self.clear_caches();
         result
     }
 
-    /// Swaps the variables at `level` and `level + 1` **in place** and
-    /// recomputes `S(level + 1)` in `sets`, which must be current for the
+    /// Swaps the variables at `level` and `level + 1` **in place**, in one
+    /// pass over `S(level)` of `sets`, which must be current for the
     /// manager (see the module docs). Each live upper-level node
     /// `X = (u, f0, f1)` with a `v`-labelled child is unlinked, its swapped
     /// cofactors `G0 = mk(u, f00, f10)` and `G1 = mk(u, f01, f11)` are
-    /// built, and `X` is rewritten to `(v, G0, G1)` and relinked, displacing
-    /// a garbage twin that holds the key; every other node slides down a
-    /// level untouched. Ancestors and roots keep their ids, and the swap
-    /// costs O(nodes at the swapped level).
+    /// found or inserted, and `X` is rewritten to `(v, G0, G1)` and
+    /// relinked, displacing a garbage twin that holds the key; every other
+    /// node slides down a level untouched. The same pass recounts
+    /// `S(level + 1)` and marks the `v`-nodes that stay live; the swap then
+    /// frees the other live `v`-nodes, its orphans, onto the walk's free
+    /// list, which the cofactors of later swaps reuse. Ancestors and roots
+    /// keep their ids, and the swap costs O(width at the swapped cuts).
     ///
     /// # Panics
     ///
@@ -170,52 +189,74 @@ impl BddManager {
         assert!(level + 1 < t, "swap_in_place: level {level} out of range");
         let u = self.var_at(level);
         let v = self.var_at(level + 1);
-        // Install the new order first so mk() builds valid nodes: u now
-        // sits at `level + 1`, v at `level`.
+        // Install the new order first so the cofactors are built valid: u
+        // now sits at `level + 1`, v at `level`.
         self.swap_order_entries(u, v);
         self.clear_caches();
-        let mut rewrites = 0;
-        for &raw in &sets.sets[level as usize] {
-            let x = self.brand(raw);
-            if self.is_const(x) || self.var_of(x) != u {
-                continue; // hangs below the cut from higher up
-            }
-            let lo = self.lo(x);
-            let hi = self.hi(x);
-            let lo_is_v = !self.is_const(lo) && self.var_of(lo) == v;
-            let hi_is_v = !self.is_const(hi) && self.var_of(hi) == v;
-            if !lo_is_v && !hi_is_v {
-                continue; // no interaction: X slides down one level
-            }
-            let (f00, f01) = if lo_is_v {
-                (self.lo(lo), self.hi(lo))
+        let CrossingSets {
+            sets,
+            level_nodes,
+            seen,
+            spare,
+            free,
+        } = sets;
+        let l = level as usize;
+        let mut below = std::mem::take(spare);
+        seen.begin(self.arena_len());
+        let (mut rewrites, mut at_level, mut next_level) = (0, 0, 0);
+        for &raw in &sets[l] {
+            let (var, lo, hi) = self.fields(raw);
+            let hanging = if var == u.0 {
+                let (lo_var, lo0, lo1) = self.fields(lo.0);
+                let (hi_var, hi0, hi1) = self.fields(hi.0);
+                if lo_var != v.0 && hi_var != v.0 {
+                    [self.brand(raw), FALSE] // no interaction: X slides down one level
+                } else {
+                    let (f00, f01) = if lo_var == v.0 { (lo0, lo1) } else { (lo, lo) };
+                    let (f10, f11) = if hi_var == v.0 { (hi0, hi1) } else { (hi, hi) };
+                    // Unlink first, so the cofactors cannot find X under its old key.
+                    let tabled = self.unique_unlink_checked(raw);
+                    debug_assert!(tabled, "a live node is always tabled");
+                    let g0 = self.find_or_insert(u, f00, f10, free);
+                    let g1 = self.find_or_insert(u, f01, f11, free);
+                    // X depends on v (a child is v-labelled), so its
+                    // v-cofactors differ: the rewritten node is never redundant.
+                    debug_assert_ne!(g0, g1);
+                    self.relink_as(raw, v, g0, g1);
+                    rewrites += 1;
+                    at_level += 1;
+                    [g0, g1]
+                }
+            } else if var == v.0 {
+                // Reached from above cut `level`, so it stays live. No
+                // v-node hangs below cut `level + 1` now, so the mark
+                // cannot be mistaken for an admission.
+                seen.set(raw, 0);
+                at_level += 1;
+                [lo, hi]
             } else {
-                (lo, lo)
+                [self.brand(raw), FALSE] // hangs below the cut from higher up
             };
-            let (f10, f11) = if hi_is_v {
-                (self.lo(hi), self.hi(hi))
-            } else {
-                (hi, hi)
-            };
-            // Unlink first, so the mk()s cannot find X under its old key.
-            let tabled = self.unique_unlink_checked(raw);
-            debug_assert!(tabled, "a live node is always tabled");
-            let g0 = self.mk(u, f00, f10);
-            let g1 = self.mk(u, f01, f11);
-            // X depends on v (a child is v-labelled), so its v-cofactors
-            // differ: the rewritten node is never redundant.
-            debug_assert_ne!(g0, g1);
-            if let Some(h) = self.unique_find(v, g0, g1) {
-                // A garbage twin (module docs, point 2).
-                let tabled = self.unique_unlink_checked(h);
-                debug_assert!(tabled);
+            for m in hanging {
+                if admit(seen, &mut below, m) && self.fields(m.0).0 == u.0 {
+                    next_level += 1;
+                }
             }
-            self.set_node_in_place(raw, v, g0, g1);
-            self.unique_insert_raw(raw);
-            rewrites += 1;
         }
-        self.count_swap(rewrites);
-        sets.refresh_below(self, level);
+        let mut reclaimed = 0;
+        for &raw in &sets[l + 1] {
+            if self.fields(raw).0 == v.0 && seen.get(raw).is_none() {
+                let tabled = self.unique_unlink_checked(raw);
+                debug_assert!(tabled, "a live node is always tabled");
+                free.push(raw);
+                reclaimed += 1;
+            }
+        }
+        *spare = std::mem::replace(&mut sets[l + 1], below);
+        spare.clear();
+        level_nodes[l] = at_level;
+        level_nodes[l + 1] = next_level;
+        self.count_swap(rewrites, reclaimed);
     }
 
     fn swap_order_entries(&mut self, u: Var, v: Var) {
@@ -312,11 +353,25 @@ impl BddManager {
         roots: &[NodeId],
         moves: impl IntoIterator<Item = (Var, u32)>,
     ) -> Vec<NodeId> {
+        self.stage_moves(roots, moves);
+        self.gc(roots)
+    }
+
+    /// Moves each `(var, level)` in turn to its level by in-place swaps,
+    /// leaving the arena staged for the caller's collection.
+    fn stage_moves(&mut self, roots: &[NodeId], moves: impl IntoIterator<Item = (Var, u32)>) {
+        self.assert_unpoisoned();
         let mut sets = CrossingSets::build(self, roots);
         for (var, level) in moves {
             self.walk_in_place(&mut sets, var, level);
         }
-        self.gc(roots)
+    }
+
+    /// The in-place swap builds nodes without `mk`, whose poison check
+    /// would otherwise stop a reorder at its first interacting swap; every
+    /// reorder checks once when it starts instead.
+    fn assert_unpoisoned(&self) {
+        assert!(!self.is_poisoned(), "reorder: {}", Error::Poisoned);
     }
 
     /// Walks `var` to level `target` by in-place swaps, pricing nothing.
@@ -356,6 +411,14 @@ impl BddManager {
         if constraints.check(self) {
             return roots.to_vec();
         }
+        let target = self.legal_order(constraints);
+        let roots = self.move_vars_in_place(roots, target.into_iter().zip(0u32..));
+        debug_assert!(constraints.check(self));
+        roots
+    }
+
+    /// The legal order [`legalize_order`](Self::legalize_order) moves to.
+    fn legal_order(&self, constraints: &SiftConstraints) -> Vec<Var> {
         let t = self.num_vars();
         let mut blockers: Vec<Vec<Var>> = vec![Vec::new(); t]; // per var: must-be-above list
         let mut indegree = vec![0usize; t];
@@ -379,17 +442,22 @@ impl BddManager {
             }
         }
         assert_eq!(target.len(), t, "cyclic order constraints");
-        let roots = self.move_vars_in_place(roots, target.into_iter().zip(0u32..));
-        debug_assert!(constraints.check(self));
-        roots
+        target
     }
 
     /// Repeated sifting passes until the cost stops improving (at most
     /// `max_passes`), after legalizing an order that violates `constraints`
     /// ([`BddManager::legalize_order`]); zero passes only legalize. Returns the
-    /// remapped roots. The sift collects at its start and end, and rebuilds the
-    /// crossing sets it carries through every variable and pass only after a
-    /// collection mid-walk.
+    /// remapped roots. A sift of one or more passes collects exactly twice:
+    /// after the legalize moves, which stay staged, and at its end. Between
+    /// the two it carries one set of crossing sets and one free list through
+    /// every variable and pass, and its swaps free their orphans, so the
+    /// unique table holds exactly the live nodes after every swap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the constraints are cyclic, or if the manager is
+    /// [poisoned](Self::poison).
     pub fn sift(
         &mut self,
         roots: &[NodeId],
@@ -397,60 +465,60 @@ impl BddManager {
         cost: ReorderCost,
         max_passes: usize,
     ) -> Vec<NodeId> {
-        // Traversals skip garbage: a larger factor costs only memory and scan.
-        let threshold_for = |live| live * 4 + 65_536;
-        self.sift_with(roots, constraints, cost, max_passes, threshold_for)
-    }
-
-    /// [`sift`](Self::sift), collecting once the arena passes
-    /// `threshold_for(live)`; tests force a collection per swap, or none.
-    fn sift_with(
-        &mut self,
-        roots: &[NodeId],
-        constraints: &SiftConstraints,
-        cost: ReorderCost,
-        max_passes: usize,
-        threshold_for: fn(usize) -> usize,
-    ) -> Vec<NodeId> {
-        let roots = self.legalize_order(roots, constraints);
         if max_passes == 0 {
-            return roots;
+            return self.legalize_order(roots, constraints);
         }
-        // Drop what building the roots left, so the threshold rests on live nodes.
-        let mut run = SiftRun::collect(self, &roots, threshold_for);
-        let mut best = run.sets.cost(cost);
+        self.assert_unpoisoned();
+        if !constraints.check(self) {
+            let target = self.legal_order(constraints);
+            self.stage_moves(roots, target.into_iter().zip(0u32..));
+            debug_assert!(constraints.check(self));
+        }
+        // Drop what building the roots left, so the table holds only live nodes.
+        let roots = self.gc(roots);
+        let mut sets = CrossingSets::build(self, &roots);
+        let mut best = sets.cost(cost);
         for _ in 0..max_passes {
-            self.sift_pass(&mut run, constraints, cost);
-            let now = run.sets.cost(cost);
-            debug_assert_eq!(now, self.reorder_cost(&run.roots, cost));
+            self.sift_pass(&mut sets, &roots, constraints, cost);
+            let now = sets.cost(cost);
+            debug_assert_eq!(now, self.reorder_cost(&roots, cost));
             if now >= best {
                 break;
             }
             best = now;
         }
-        self.gc(&run.roots)
+        self.gc(&roots)
     }
 
     /// One sifting pass: every variable that labels a live node, fattest
     /// first (Rudell's heuristic), is walked through its allowed window and
     /// parked at its best position.
-    fn sift_pass(&mut self, run: &mut SiftRun, constraints: &SiftConstraints, cost: ReorderCost) {
+    fn sift_pass(
+        &mut self,
+        sets: &mut CrossingSets,
+        roots: &[NodeId],
+        constraints: &SiftConstraints,
+        cost: ReorderCost,
+    ) {
         let labelled: Vec<usize> = (0..self.num_vars() as u32)
-            .map(|v| run.sets.level_nodes[self.level_of(Var(v)) as usize])
+            .map(|v| sets.level_nodes[self.level_of(Var(v)) as usize])
             .collect();
         // Sort bare ids: the unstable sort's tie order depends on the element type.
         let mut vars: Vec<Var> = (0..self.num_vars() as u32).map(Var).collect();
         vars.sort_unstable_by_key(|v| std::cmp::Reverse(labelled[v.0 as usize]));
         for var in vars.into_iter().filter(|v| labelled[v.0 as usize] > 0) {
-            self.sift_one(run, var, constraints, cost);
+            self.sift_one(sets, roots, var, constraints, cost);
         }
     }
 
     /// Walks `var` through its allowed window, pricing each position with
     /// the carried crossing sets, and parks it at the cheapest, in place.
+    /// Every swap frees its orphans, so the unique table stays at the live
+    /// nodes (`debug_assert`-ed after every walk swap and the park).
     fn sift_one(
         &mut self,
-        run: &mut SiftRun,
+        sets: &mut CrossingSets,
+        roots: &[NodeId],
         var: Var,
         constraints: &SiftConstraints,
         cost: ReorderCost,
@@ -458,7 +526,7 @@ impl BddManager {
         let (min_level, max_level) = constraints.window(self, var);
         let start = self.level_of(var);
         debug_assert!((min_level..=max_level).contains(&start));
-        let mut best_cost = run.sets.cost(cost);
+        let mut best_cost = sets.cost(cost);
         let mut best_level = start;
 
         // Visit the nearer end first to keep the walk short.
@@ -471,22 +539,20 @@ impl BddManager {
             let mut level = self.level_of(var);
             while level != target {
                 let next = if target > level { level + 1 } else { level - 1 };
-                self.swap_in_place(&mut run.sets, level.min(next));
+                self.swap_in_place(sets, level.min(next));
                 level = next;
-                let c = run.sets.cost(cost);
-                debug_assert_eq!(c, self.reorder_cost(&run.roots, cost));
+                debug_assert_eq!(self.unique_len(), sets.node_count());
+                let c = sets.cost(cost);
+                debug_assert_eq!(c, self.reorder_cost(roots, cost));
                 // Strictly-better keeps the first (closest) optimum.
                 if c < best_cost {
                     best_cost = c;
                     best_level = level;
                 }
-                if self.arena_len() > run.gc_threshold {
-                    *run = SiftRun::collect(self, &run.roots, run.threshold_for);
-                }
             }
         }
-        // Only the walk collects: the next walk inherits the park's garbage.
-        self.walk_in_place(&mut run.sets, var, best_level);
+        self.walk_in_place(sets, var, best_level);
+        debug_assert_eq!(self.unique_len(), sets.node_count());
     }
 
     /// Test hook for the crossing sets: builds them over `roots`, then for
@@ -511,70 +577,55 @@ impl BddManager {
     }
 }
 
-/// What one sift carries through every variable and pass: the roots,
-/// their crossing sets, and the arena length past which a swap collects.
-struct SiftRun {
-    roots: Vec<NodeId>,
-    sets: CrossingSets,
-    gc_threshold: usize,
-    threshold_for: fn(usize) -> usize,
-}
-
-impl SiftRun {
-    /// Collects the arena down to `roots`, then builds the sets over the
-    /// new ids and bases the threshold on the live length.
-    fn collect(mgr: &mut BddManager, roots: &[NodeId], threshold_for: fn(usize) -> usize) -> Self {
-        let roots = mgr.gc(roots);
-        SiftRun {
-            gc_threshold: threshold_for(mgr.arena_len()),
-            sets: CrossingSets::build(mgr, &roots),
-            roots,
-            threshold_for,
-        }
-    }
-}
-
-/// The crossing sets of every reorder walk. `sets[c]` is `S(c)` (see the
-/// module docs), so `sets[c].len()` is the unclamped width at cut `c`,
+/// What one reorder walk carries through every swap: the crossing sets,
+/// and the scratch their recount uses. `sets[c]` is `S(c)` (see the module
+/// docs), so `sets[c].len()` is the unclamped width at cut `c`,
 /// `0 ≤ c ≤ t`, and the in-place swap at `l` takes the live nodes it
 /// rewrites from `sets[l]`. `level_nodes[l]` counts the members of `S(l)`
 /// at level `l`, so the `NodeCount` cost and the sift's order come from
-/// the same sets. A swap at level `l` changes only `S(l + 1)`; a `gc`
-/// renumbers every node, so the sets are rebuilt after each one.
+/// the same sets. A swap at level `l` changes only `S(l + 1)`. The walk's
+/// free list and dedup map live and die with it, so a manager holds
+/// neither once a reorder returns.
 struct CrossingSets {
     sets: Vec<Vec<u32>>,
     level_nodes: Vec<usize>,
+    /// The dedup of the set being built; a swap also marks in it the
+    /// `v`-nodes that stay live.
+    seen: ScratchMap,
+    /// An empty set the next swap builds `S(l + 1)` in.
+    spare: Vec<u32>,
+    /// Slots of the orphans the walk's swaps freed, not yet reused.
+    free: Vec<u32>,
 }
 
 impl CrossingSets {
     /// Builds every set in one sweep down the cuts.
-    fn build(mgr: &mut BddManager, roots: &[NodeId]) -> Self {
+    fn build(mgr: &BddManager, roots: &[NodeId]) -> Self {
         let t = mgr.num_vars();
-        let mut sets = vec![Vec::new(); t + 1];
-        let mut seen = mgr.take_scratch(WIDTH_SCRATCH);
-        for &root in roots {
-            admit(&mut seen, &mut sets[0], root);
-        }
-        mgr.put_scratch(WIDTH_SCRATCH, seen);
         let mut tracker = CrossingSets {
-            sets,
+            sets: vec![Vec::new(); t + 1],
             level_nodes: vec![0; t],
+            seen: ScratchMap::default(),
+            spare: Vec::new(),
+            free: Vec::new(),
         };
+        tracker.seen.begin(mgr.arena_len());
+        for &root in roots {
+            admit(&mut tracker.seen, &mut tracker.sets[0], root);
+        }
         for level in 0..t as u32 {
-            tracker.refresh_below(mgr, level);
+            tracker.fill_below(mgr, level);
         }
         tracker
     }
 
-    /// Recomputes `S(level + 1)` from `S(level)`, and the node counts of
-    /// both levels. Building runs it for every level; it ends every
-    /// in-place swap of `level` and `level + 1`, as the whole update.
-    fn refresh_below(&mut self, mgr: &mut BddManager, level: u32) {
+    /// Computes `S(level + 1)` from `S(level)`, and the node counts of both
+    /// levels.
+    fn fill_below(&mut self, mgr: &BddManager, level: u32) {
         let l = level as usize;
         let (upper, lower) = self.sets.split_at_mut(l + 1);
         let (above, below) = (&upper[l], &mut lower[0]);
-        below.clear();
-        let mut seen = mgr.take_scratch(WIDTH_SCRATCH);
+        self.seen.begin(mgr.arena_len());
         let (mut at_level, mut next_level) = (0, 0);
         for &raw in above.iter() {
             let n = mgr.brand(raw);
@@ -585,12 +636,11 @@ impl CrossingSets {
                 [n, FALSE]
             };
             for m in hanging {
-                if admit(&mut seen, below, m) && mgr.level_of_node(m) == level + 1 {
+                if admit(&mut self.seen, below, m) && mgr.level_of_node(m) == level + 1 {
                     next_level += 1;
                 }
             }
         }
-        mgr.put_scratch(WIDTH_SCRATCH, seen);
         self.level_nodes[l] = at_level;
         if let Some(count) = self.level_nodes.get_mut(l + 1) {
             *count = next_level;
@@ -787,7 +837,7 @@ mod tests {
         };
         let tf = truth_vector(&mgr, f);
         let tg = truth_vector(&mgr, g);
-        let mut sets = CrossingSets::build(&mut mgr, &[f, g]);
+        let mut sets = CrossingSets::build(&mgr, &[f, g]);
         mgr.swap_in_place(&mut sets, 1);
         assert_eq!(mgr.var_at(1), Var(2));
         assert_eq!(mgr.var_at(2), Var(1));
@@ -808,7 +858,7 @@ mod tests {
         let f = interleaved_function(&mut mgr);
         let before_count = mgr.node_count(f);
         let order_before: Vec<Var> = mgr.order().to_vec();
-        let mut sets = CrossingSets::build(&mut mgr, &[f]);
+        let mut sets = CrossingSets::build(&mgr, &[f]);
         mgr.swap_in_place(&mut sets, 0);
         mgr.swap_in_place(&mut sets, 0);
         assert_eq!(mgr.order(), &order_before[..]);
@@ -828,7 +878,7 @@ mod tests {
         let c = mgr.var(Var(2));
         let f = mgr.xor(a, c);
         let before = truth_vector(&mgr, f);
-        let mut sets = CrossingSets::build(&mut mgr, &[f]);
+        let mut sets = CrossingSets::build(&mgr, &[f]);
         mgr.swap_in_place(&mut sets, 1); // swap v1 (absent) and v2
         assert_eq!(truth_vector(&mgr, f), before);
         mgr.swap_in_place(&mut sets, 0); // now swap v2 above v0
@@ -878,56 +928,107 @@ mod tests {
         assert!(mgr.raw_nodes().eq(reference.raw_nodes()));
     }
 
+    /// Three roots over seven variables: `f`, `(v1 ⊕ v4)·v5` and
+    /// `v2·v6 ∨ (v0 ⊕ v5)`, with their truth vectors.
+    fn three_roots() -> (BddManager, Vec<NodeId>, Vec<Vec<bool>>) {
+        let mut mgr = BddManager::new(7);
+        let f = interleaved_function(&mut mgr);
+        let [a, b, c, e, x, y] = [0, 1, 2, 4, 5, 6].map(|i| mgr.var(Var(i)));
+        let be = mgr.xor(b, e);
+        let g = mgr.and(be, x);
+        let cy = mgr.and(c, y);
+        let ax = mgr.xor(a, x);
+        let h = mgr.or(cy, ax);
+        let truths = [f, g, h].iter().map(|&r| truth_vector(&mgr, r)).collect();
+        (mgr, vec![f, g, h], truths)
+    }
+
     #[test]
-    fn where_a_sift_collects_changes_no_decision() {
-        // A collection renumbers every node and the carried crossing sets
-        // are rebuilt after it, so a sift that collects after every walk
-        // swap must decide exactly as one that collects only at its start
-        // and end. The per-swap debug cross-check fails unless the
-        // rebuilt sets are right.
+    fn a_sift_collects_exactly_twice() {
+        // Every swap frees its orphans, so nothing between the opening and
+        // the closing collection needs another; the per-swap debug checks
+        // pin the table at the live nodes.
         let mut constraints = SiftConstraints::none();
         constraints.require_above(Var(0), Var(6));
-        let run = |threshold_for: fn(usize) -> usize| {
-            let mut mgr = BddManager::new(7);
-            let f = interleaved_function(&mut mgr);
-            let [a, b, c, e, x, y] = [0, 1, 2, 4, 5, 6].map(|i| mgr.var(Var(i)));
-            let be = mgr.xor(b, e);
-            let g = mgr.and(be, x);
-            let cy = mgr.and(c, y);
-            let ax = mgr.xor(a, x);
-            let h = mgr.or(cy, ax);
-            let truths: Vec<_> = [f, g, h].iter().map(|&r| truth_vector(&mgr, r)).collect();
-            let before = mgr.engine_stats();
-            let roots = mgr.sift_with(
-                &[f, g, h],
-                &constraints,
-                ReorderCost::SumOfWidths,
-                2,
-                threshold_for,
+        let (mut mgr, roots, truths) = three_roots();
+        let before = mgr.engine_stats();
+        let roots = mgr.sift(&roots, &constraints, ReorderCost::SumOfWidths, 2);
+        let after = mgr.engine_stats();
+        for (&root, truth) in roots.iter().zip(&truths) {
+            assert_eq!(&truth_vector(&mgr, root), truth);
+        }
+        assert_eq!(after.gc_runs - before.gc_runs, 2);
+        assert!(after.swaps > before.swaps);
+        assert!(after.swap_reclaimed > before.swap_reclaimed);
+        assert!(constraints.check(&mgr));
+        mgr.check_integrity()
+            .expect("a sift returns a collected arena");
+    }
+
+    #[test]
+    fn a_sift_from_an_illegal_order_still_collects_twice() {
+        // The legalize moves stay staged until the sift's opening collection.
+        let mut constraints = SiftConstraints::none();
+        constraints.require_above(Var(6), Var(0));
+        let (mut mgr, roots, truths) = three_roots();
+        assert!(!constraints.check(&mgr));
+        let before = mgr.engine_stats().gc_runs;
+        let roots = mgr.sift(&roots, &constraints, ReorderCost::SumOfWidths, 2);
+        assert_eq!(mgr.engine_stats().gc_runs - before, 2);
+        assert!(constraints.check(&mgr));
+        for (&root, truth) in roots.iter().zip(&truths) {
+            assert_eq!(&truth_vector(&mgr, root), truth);
+        }
+    }
+
+    #[test]
+    fn a_swap_frees_its_orphans_and_the_next_reuses_them() {
+        // f = v0 ⊕ v1 ⊕ v2: both v2-nodes hang below cut 2 only through
+        // the two interacting v1-nodes, so swapping levels 1 and 2 orphans
+        // them all. Swapping back rebuilds as many v2-nodes, in their slots.
+        let mut mgr = BddManager::new(3);
+        let [a, b, c] = [0, 1, 2].map(|i| mgr.var(Var(i)));
+        let ab = mgr.xor(a, b);
+        let f = mgr.xor(ab, c);
+        let roots = mgr.gc(&[f]);
+        let truth = truth_vector(&mgr, roots[0]);
+        let lower = mgr
+            .descendants(&roots)
+            .into_iter()
+            .filter(|&n| mgr.level_of_node(n) == 2)
+            .count() as u64;
+        assert_eq!(lower, 2);
+        let before = mgr.engine_stats().swap_reclaimed;
+        let mut seen = Vec::new();
+        let roots = mgr.crossing_walk_for_testing(&roots, &[1, 1], |mgr, _, nodes| {
+            let stats = mgr.engine_stats();
+            assert_eq!(
+                stats.unique_len, nodes as u64,
+                "the table holds the live nodes"
             );
-            for (&root, truth) in roots.iter().zip(&truths) {
-                assert_eq!(&truth_vector(&mgr, root), truth);
-            }
-            let after = mgr.engine_stats();
-            (
-                mgr.order().to_vec(),
-                mgr.width_profile(&roots),
-                after.gc_runs - before.gc_runs,
-                after.swaps - before.swaps,
-            )
-        };
-        let (order, widths, gcs, swaps) = run(|_| usize::MAX);
-        let (forced_order, forced_widths, forced_gcs, forced_swaps) = run(|_| 0);
-        assert_eq!(forced_order, order);
-        assert_eq!(forced_widths, widths);
-        assert_eq!(forced_swaps, swaps);
-        assert_eq!(gcs, 2, "one collection at the start, one at the end");
-        // At least half of the swaps walk (a park never retraces more than
-        // its walk), and each walk swap collected.
-        assert!(
-            swaps > 0 && forced_gcs >= gcs + swaps / 2,
-            "{forced_gcs} of {swaps}"
-        );
+            seen.push((stats.swap_reclaimed, mgr.arena_len()));
+        });
+        assert_eq!(seen[0].0, before + lower, "one swap frees every orphan");
+        assert_eq!(seen[1].1, seen[0].1, "freed slots are reused");
+        assert_eq!(truth_vector(&mgr, roots[0]), truth);
+    }
+
+    #[test]
+    #[should_panic(expected = "poisoned")]
+    fn a_poisoned_manager_refuses_to_sift() {
+        let mut mgr = BddManager::new(4);
+        let f = interleaved_function(&mut mgr);
+        mgr.poison();
+        let _ = mgr.sift(&[f], &SiftConstraints::none(), ReorderCost::SumOfWidths, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "poisoned")]
+    fn a_poisoned_manager_refuses_to_move_a_variable() {
+        let mut mgr = BddManager::new(4);
+        let f = interleaved_function(&mut mgr);
+        mgr.poison();
+        let _ = mgr.move_var_to_level(Var(0), 3, &[f]);
     }
 
     #[test]
@@ -943,8 +1044,8 @@ mod tests {
     #[test]
     fn crossing_sets_of_false_roots_are_empty() {
         // Only an all-FALSE root set has empty cuts; the cost clamps them.
-        let mut mgr = BddManager::new(3);
-        let sets = CrossingSets::build(&mut mgr, &[FALSE]);
+        let mgr = BddManager::new(3);
+        let sets = CrossingSets::build(&mgr, &[FALSE]);
         assert!(sets.sets.iter().all(Vec::is_empty));
         assert_eq!(sets.node_count(), 0);
         assert_eq!(

@@ -142,6 +142,13 @@ impl UniqueTable {
         self.probes = old.probes;
     }
 
+    /// The hash of a `(var, lo, hi)` key; its low bits pick the bucket at
+    /// every capacity, so one hash serves a lookup, a growth and an insert.
+    #[inline]
+    pub(crate) fn hash(var: u32, lo: u32, hi: u32) -> u64 {
+        mix3(var, lo, hi)
+    }
+
     #[inline]
     fn bucket_of(&self, var: u32, lo: u32, hi: u32) -> usize {
         (mix3(var, lo, hi) & self.mask) as usize
@@ -150,8 +157,21 @@ impl UniqueTable {
     /// Looks up `(var, lo, hi)`, recording lookup/probe counters.
     #[inline]
     pub(crate) fn find(&mut self, nodes: &[Node], var: u32, lo: u32, hi: u32) -> Option<u32> {
+        self.find_hashed(nodes, Self::hash(var, lo, hi), var, lo, hi)
+    }
+
+    /// [`find`](Self::find) with the key's [`hash`](Self::hash) given.
+    #[inline]
+    pub(crate) fn find_hashed(
+        &mut self,
+        nodes: &[Node],
+        hash: u64,
+        var: u32,
+        lo: u32,
+        hi: u32,
+    ) -> Option<u32> {
         self.lookups += 1;
-        let mut cur = self.buckets[self.bucket_of(var, lo, hi)];
+        let mut cur = self.buckets[(hash & self.mask) as usize];
         while cur != NIL {
             self.probes += 1;
             let n = &nodes[cur as usize];
@@ -185,7 +205,42 @@ impl UniqueTable {
     #[inline]
     pub(crate) fn insert(&mut self, nodes: &mut [Node], id: u32) {
         let n = nodes[id as usize];
+        self.insert_hashed(nodes, id, Self::hash(n.var, n.lo.0, n.hi.0));
+    }
+
+    /// [`insert`](Self::insert) with the node key's [`hash`](Self::hash)
+    /// given.
+    #[inline]
+    pub(crate) fn insert_hashed(&mut self, nodes: &mut [Node], id: u32, hash: u64) {
+        let b = (hash & self.mask) as usize;
+        nodes[id as usize].next = self.buckets[b];
+        self.buckets[b] = id;
+        self.len += 1;
+    }
+
+    /// Links the untabled node at `id` at the head of its bucket, first
+    /// splicing out the other node that holds its key, if one does, in the
+    /// same walk of the chain (counted as one lookup). The in-place swap
+    /// (reorder.rs) relinks each node it rewrites this way: a node holding
+    /// the new key is garbage.
+    pub(crate) fn link_displacing(&mut self, nodes: &mut [Node], id: u32) {
+        let n = nodes[id as usize];
         let b = self.bucket_of(n.var, n.lo.0, n.hi.0);
+        self.lookups += 1;
+        let (mut prev, mut cur) = (NIL, self.buckets[b]);
+        while cur != NIL {
+            self.probes += 1;
+            let c = nodes[cur as usize];
+            if c.var == n.var && c.lo.0 == n.lo.0 && c.hi.0 == n.hi.0 {
+                match prev {
+                    NIL => self.buckets[b] = c.next,
+                    _ => nodes[prev as usize].next = c.next,
+                }
+                self.len -= 1;
+                break; // one tabled node per key
+            }
+            (prev, cur) = (cur, c.next);
+        }
         nodes[id as usize].next = self.buckets[b];
         self.buckets[b] = id;
         self.len += 1;
@@ -206,11 +261,12 @@ impl UniqueTable {
 
     /// Rebuilds the table at `1 << capacity_log2` buckets, relinking the
     /// currently tabled nodes in ascending-index order. Untabled nodes
-    /// stay untabled: during an in-place swap (reorder.rs) the arena holds
-    /// the garbage twins the swap unlinked — and the node being rewritten
-    /// is unlinked while its replacement children are `mk`-ed, which is
-    /// exactly when a growth rebuild can fire — so relinking by arena
-    /// membership instead of table membership would resurrect them.
+    /// stay untabled: during an in-place swap walk (reorder.rs) the arena
+    /// holds the garbage twins and the freed orphans the swaps unlinked —
+    /// and the node being rewritten is unlinked while its cofactors are
+    /// found or inserted, which is exactly when a growth rebuild can fire —
+    /// so relinking by arena membership instead of table membership would
+    /// resurrect them.
     pub(crate) fn rebuild(&mut self, nodes: &mut [Node], capacity_log2: u32) {
         let mut tabled = vec![false; nodes.len()];
         for b in 0..self.buckets.len() {
@@ -486,12 +542,13 @@ impl ComputedTable {
     }
 }
 
-/// A stamped raw-id → `u32` map over arena indices, reused across calls:
+/// A stamped raw-id → `u32` map over arena indices, reused from use to use:
 /// resetting is one generation bump, so a traversal that visits `k` nodes
 /// costs O(k) regardless of arena size — no per-use allocation or memset.
 ///
-/// The backing store grows to the largest arena served since a GC last
-/// [trimmed](Self::trim_to) it; call [`begin`](Self::begin) before each use.
+/// Its owner scopes it: a reorder walk keeps one for all of its swaps and
+/// drops it when the walk ends, and the functional swap makes one per call.
+/// Call [`begin`](Self::begin) before each use.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ScratchMap {
     stamp: Vec<u32>,
@@ -513,19 +570,6 @@ impl ScratchMap {
             self.stamp.fill(0);
             self.generation = 1;
         }
-    }
-
-    /// Frees a store over four times an arena of `live` slots (floored at
-    /// 1024); the next [`begin`](Self::begin) regrows it.
-    pub(crate) fn trim_to(&mut self, live: usize) {
-        if self.stamp.len() > 4 * live.max(1024) {
-            *self = ScratchMap::default();
-        }
-    }
-
-    /// Bytes held by the stamp and value stores.
-    pub(crate) fn held_bytes(&self) -> u64 {
-        held(&self.stamp) + held(&self.val)
     }
 
     /// The value stored for `raw` in the current use, if any. Ids past
@@ -632,8 +676,10 @@ pub struct EngineStats {
     pub swaps: u64,
     /// Live nodes those swaps rewrote.
     pub swap_rewrites: u64,
-    /// Bytes held now by the arena, the unique table's buckets, the four
-    /// operation caches and the scratch maps.
+    /// Nodes those swaps orphaned and freed for reuse, without a collection.
+    pub swap_reclaimed: u64,
+    /// Bytes held now by the arena, the unique table's buckets and the four
+    /// operation caches.
     pub held_bytes: u64,
 }
 
@@ -736,6 +782,30 @@ mod tests {
     }
 
     #[test]
+    fn link_displacing_splices_out_the_twin_only() {
+        let mut nodes = arena();
+        let mut t = UniqueTable::with_capacity_log2(2); // force shared buckets
+        let ids: Vec<u32> = (0..6u32).map(|v| push(&mut nodes, v, 0, 1)).collect();
+        for &id in &ids {
+            t.insert(&mut nodes, id);
+        }
+        let fresh = push(&mut nodes, 7, 0, 1);
+        t.link_displacing(&mut nodes, fresh);
+        assert_eq!(t.len(), 7, "no twin to displace");
+        let twin = push(&mut nodes, 3, 0, 1);
+        t.link_displacing(&mut nodes, twin);
+        assert_eq!(t.find(&nodes, 3, 0, 1), Some(twin));
+        assert!(
+            !t.unlink_checked(&mut nodes, ids[3]),
+            "the twin is unlinked"
+        );
+        for v in [0u32, 1, 2, 4, 5, 7] {
+            assert!(t.find(&nodes, v, 0, 1).is_some(), "var {v} vanished");
+        }
+        assert_eq!(t.len(), 7);
+    }
+
+    #[test]
     fn deterministic_rebuild_geometry() {
         assert_eq!(UniqueTable::capacity_log2_for(0), 6);
         assert_eq!(UniqueTable::capacity_log2_for(32), 6);
@@ -799,24 +869,6 @@ mod tests {
         c.reset_for(usize::MAX / 4);
         assert_eq!(c.stats().capacity, CACHE_MAX as u64);
         assert_eq!(c.stats().slots_swept, 0);
-    }
-
-    #[test]
-    fn scratch_map_trim_frees_only_an_oversized_store() {
-        let mut s = ScratchMap::default();
-        s.begin(4096);
-        s.trim_to(1024);
-        assert_eq!(s.stamp.len(), 4096, "within 4 × the 1024 floor");
-        s.begin(100_000);
-        s.set(99_999, 3);
-        s.trim_to(25_000);
-        assert_eq!(s.stamp.len(), 100_000, "within 4 × live");
-        s.trim_to(1000);
-        assert_eq!(s.held_bytes(), 0, "an oversized store is freed");
-        s.begin(10);
-        assert_eq!(s.get(99_999), None);
-        s.set(5, 1);
-        assert_eq!(s.get(5), Some(1), "the next use regrows it");
     }
 
     #[test]

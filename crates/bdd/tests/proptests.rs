@@ -348,7 +348,23 @@ proptest! {
         // crossing every cut), so that is the unclamped profile.
         let all_false = roots.iter().all(|&r| r == FALSE);
         let mut errors = Vec::new();
+        // A swap frees its orphans, so the garbage the table holds beyond
+        // the live nodes never grows; from a collected arena it stays 0.
+        let mut collected = mgr.clone();
+        let collected_roots = collected.gc(&roots);
+        collected.crossing_walk_for_testing(&collected_roots, &walk, |mgr, _, nodes| {
+            let extra = mgr.engine_stats().unique_len - nodes as u64;
+            if extra != 0 {
+                errors.push(format!("order {:?}: {extra} tabled garbage after a collection", mgr.order()));
+            }
+        });
+        let mut extra = mgr.engine_stats().unique_len - mgr.node_count_multi(&roots) as u64;
         let remapped = mgr.crossing_walk_for_testing(&roots, &walk, |mgr, widths, nodes| {
+            let now = mgr.engine_stats().unique_len - nodes as u64;
+            if now > extra {
+                errors.push(format!("order {:?}: tabled garbage grew {extra} -> {now}", mgr.order()));
+            }
+            extra = now;
             let profile = mgr.width_profile(&roots);
             for (c, &width) in widths.iter().enumerate() {
                 let expect = if all_false { 0 } else { profile.at_cut(c) };

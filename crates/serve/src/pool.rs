@@ -174,6 +174,8 @@ pub struct PoolCounters {
     pub engine_gc_runs: u64,
     /// Nodes those collections dropped, summed over completed jobs.
     pub engine_gc_reclaimed: u64,
+    /// Orphans the in-place swaps freed, summed over completed jobs.
+    pub engine_swap_reclaimed: u64,
     /// Wall time inside GC in nanoseconds, summed over completed jobs.
     pub engine_gc_pause_ns: u64,
 }
@@ -469,6 +471,7 @@ fn settle(
         c.engine_cache_misses += cache.misses;
         c.engine_gc_runs += stats.gc_runs;
         c.engine_gc_reclaimed += stats.gc_reclaimed;
+        c.engine_swap_reclaimed += stats.swap_reclaimed;
         c.engine_gc_pause_ns += stats.gc_pause_ns;
     }
     let Some(response) = response else {

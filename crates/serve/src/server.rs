@@ -757,6 +757,10 @@ fn stats_payload(inner: &Arc<Inner>, id: &str) -> Vec<u8> {
                     "engine_gc_reclaimed".into(),
                     n(counters.engine_gc_reclaimed),
                 ),
+                (
+                    "engine_swap_reclaimed".into(),
+                    n(counters.engine_swap_reclaimed),
+                ),
                 ("engine_gc_pause_ns".into(), n(counters.engine_gc_pause_ns)),
             ]),
         ),

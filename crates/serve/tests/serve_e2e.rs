@@ -133,6 +133,7 @@ fn synth_round_trip_then_cache_hit_is_byte_identical() {
     };
     assert!(counter("engine_gc_runs") > 0);
     assert!(counter("engine_gc_reclaimed") > 0);
+    assert!(counter("engine_swap_reclaimed") > 0);
 
     let shutdown = Request {
         id: "q".into(),

@@ -478,8 +478,8 @@ fn print_engine_stats(stats: &bddcf::bdd::EngineStats) {
         stats.gc_pause_ns as f64 / 1e6
     );
     println!(
-        "          reorder {} swap(s), {} node(s) rewritten",
-        stats.swaps, stats.swap_rewrites
+        "          reorder {} swap(s), {} node(s) rewritten, {} freed",
+        stats.swaps, stats.swap_rewrites, stats.swap_reclaimed
     );
 }
 

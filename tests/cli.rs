@@ -104,7 +104,8 @@ fn stats_reports_all_treatments() {
         .and_then(|kib| kib.parse().ok())
         .unwrap_or_else(|| panic!("no held figure in {engine:?}"));
     assert!(held > 0, "{engine}");
-    // The sift's in-place swaps are counted.
+    // The sift's in-place swaps are counted, and so are the orphans they
+    // freed.
     let reorder = text
         .lines()
         .find_map(|line| line.trim_start().strip_prefix("reorder "))
@@ -113,8 +114,8 @@ fn stats_reports_all_treatments() {
         .split(", ")
         .filter_map(|part| part.split(' ').next()?.parse().ok())
         .collect();
-    assert_eq!(counts.len(), 2, "{reorder}");
-    assert!(counts[0] > 0, "{reorder}");
+    assert_eq!(counts.len(), 3, "{reorder}");
+    assert!(counts[0] > 0 && counts[2] > 0, "{reorder}");
     // So are the collections, and the nodes they reclaimed.
     let gc = text
         .lines()
