@@ -26,7 +26,7 @@
 //!   invalidation is a single generation bump, not a sweep.
 
 use crate::budget::{Budget, Error};
-use crate::hasher::FastMap;
+use crate::hasher::{FastMap, FastSet};
 use crate::table::{held, ComputedTable, EngineStats, Node, UniqueTable, NIL};
 use std::fmt;
 
@@ -879,7 +879,11 @@ impl BddManager {
             self.level_of_node(lo),
             self.level_of_node(hi),
         );
-        if let Some(raw) = self.unique.find(&self.nodes, var.0, lo.0, hi.0) {
+        let hash = UniqueTable::hash(var.0, lo.0, hi.0);
+        if let Some(raw) = self
+            .unique
+            .find_hashed(&self.nodes, hash, var.0, lo.0, hi.0)
+        {
             return Ok(self.brand(raw));
         }
         if let Some(limit) = self.budget.node_limit {
@@ -898,7 +902,7 @@ impl BddManager {
             hi,
             next: NIL,
         });
-        self.unique.insert(&mut self.nodes, raw);
+        self.unique.insert_hashed(&mut self.nodes, raw, hash);
         if self.nodes.len() > self.peak_nodes {
             self.peak_nodes = self.nodes.len();
         }
@@ -1097,8 +1101,11 @@ impl BddManager {
         Ok(r)
     }
 
+    /// The cofactors of `f` with respect to the variable at `level`, which
+    /// must not lie below `f`'s top variable: `f`'s children if `f` is
+    /// labelled there, else `f` twice.
     #[inline]
-    fn cofactors_at(&self, f: NodeId, level: u32) -> (NodeId, NodeId) {
+    pub fn cofactors_at(&self, f: NodeId, level: u32) -> (NodeId, NodeId) {
         if self.level_of_node(f) == level {
             let n = self.nodes[f.0 as usize];
             (n.lo, n.hi)
@@ -1603,6 +1610,36 @@ impl BddManager {
             .collect();
         vars.sort_unstable_by_key(|&v| self.level_of(v));
         vars
+    }
+
+    /// Does `f·g ≠ 0`? Decided without building a node or touching a
+    /// cache: the walk splits both operands on their top variable, stops at
+    /// the first cofactor pair that shares a path to `TRUE`, and memoizes
+    /// the pairs it proves disjoint, so it visits each reachable pair at
+    /// most once.
+    pub fn intersects(&self, f: NodeId, g: NodeId) -> bool {
+        self.intersects_rec(f, g, &mut FastSet::default())
+    }
+
+    fn intersects_rec(&self, f: NodeId, g: NodeId, disjoint: &mut FastSet<(u32, u32)>) -> bool {
+        if f == FALSE || g == FALSE {
+            return false;
+        }
+        if f == TRUE || g == TRUE || f == g {
+            return true;
+        }
+        let key = (f.0.min(g.0), f.0.max(g.0));
+        if disjoint.contains(&key) {
+            return false;
+        }
+        let top = self.level_of_node(f).min(self.level_of_node(g));
+        let (f0, f1) = self.cofactors_at(f, top);
+        let (g0, g1) = self.cofactors_at(g, top);
+        if self.intersects_rec(f0, g0, disjoint) || self.intersects_rec(f1, g1, disjoint) {
+            return true;
+        }
+        disjoint.insert(key);
+        false
     }
 
     /// Union of the supports of several functions, sorted by current level.

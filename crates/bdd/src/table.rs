@@ -154,13 +154,14 @@ impl UniqueTable {
         (mix3(var, lo, hi) & self.mask) as usize
     }
 
-    /// Looks up `(var, lo, hi)`, recording lookup/probe counters.
-    #[inline]
+    /// [`find_hashed`](Self::find_hashed) that hashes the key itself.
+    #[cfg(test)]
     pub(crate) fn find(&mut self, nodes: &[Node], var: u32, lo: u32, hi: u32) -> Option<u32> {
         self.find_hashed(nodes, Self::hash(var, lo, hi), var, lo, hi)
     }
 
-    /// [`find`](Self::find) with the key's [`hash`](Self::hash) given.
+    /// Looks up `(var, lo, hi)` by its [`hash`](Self::hash), recording
+    /// lookup/probe counters.
     #[inline]
     pub(crate) fn find_hashed(
         &mut self,

@@ -284,6 +284,29 @@ proptest! {
     }
 
     #[test]
+    fn intersects_agrees_with_the_product_and_builds_nothing(
+        e1 in arb_expr(),
+        e2 in arb_expr(),
+        keys in prop::collection::vec(any::<u64>(), NVARS as usize),
+    ) {
+        let mut order: Vec<Var> = (0..NVARS).map(Var).collect();
+        order.sort_by_key(|v| keys[v.0 as usize]);
+        let mut mgr = BddManager::new(NVARS as usize);
+        mgr.set_order(&order);
+        let f = e1.build(&mut mgr);
+        let g = e2.build(&mut mgr);
+        // g·¬f is disjoint from f: the walk must prove every pair disjoint.
+        let not_f = mgr.not(f);
+        let g_off_f = mgr.and(g, not_f);
+        for (a, b) in [(f, g), (g, f), (f, g_off_f), (f, f), (f, FALSE), (f, TRUE)] {
+            let arena = mgr.arena_len();
+            let hit = mgr.intersects(a, b);
+            prop_assert_eq!(mgr.arena_len(), arena);
+            prop_assert_eq!(hit, mgr.and(a, b) != FALSE);
+        }
+    }
+
+    #[test]
     fn compose_agrees_with_interpreter(e1 in arb_expr(), e2 in arb_expr(), var in 0..NVARS) {
         let mut mgr = BddManager::new(NVARS as usize);
         let f = e1.build(&mut mgr);

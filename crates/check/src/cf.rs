@@ -45,14 +45,12 @@ pub fn check_cf(cf: &mut Cf) -> CheckReport {
 }
 
 /// Definition 2.4: `y_j` strictly below the essential support of its
-/// function (needs `&mut Cf` — the incompatible-cofactor test builds
-/// scratch BDDs).
-fn ordering_rule(cf: &mut Cf, report: &mut CheckReport) {
-    let isf = cf.isf().clone();
-    for j in 0..cf.layout().num_outputs() {
-        let essential = isf.essential_support_of_output(cf.manager_mut(), j);
-        let mgr = cf.manager();
-        let layout = cf.layout();
+/// function.
+fn ordering_rule(cf: &Cf, report: &mut CheckReport) {
+    let mgr = cf.manager();
+    let layout = cf.layout();
+    for j in 0..layout.num_outputs() {
+        let essential = cf.isf().essential_support_of_output(mgr, j);
         let y = layout.output_var(j);
         let y_level = mgr.level_of(y);
         for var in essential {

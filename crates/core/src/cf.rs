@@ -99,12 +99,12 @@ impl IsfBdds {
     /// pairwise disjoint and cover the input space.
     pub fn validate(&self, mgr: &mut BddManager) -> bool {
         (0..self.num_outputs()).all(|j| {
-            let u1 = mgr.or(self.on[j], self.off[j]);
-            let total = mgr.or(u1, self.dc[j]);
-            let d1 = mgr.and(self.on[j], self.off[j]);
-            let d2 = mgr.and(self.on[j], self.dc[j]);
-            let d3 = mgr.and(self.off[j], self.dc[j]);
-            total == TRUE && d1 == FALSE && d2 == FALSE && d3 == FALSE
+            let (on, off, dc) = (self.on[j], self.off[j], self.dc[j]);
+            let u1 = mgr.or(on, off);
+            mgr.or(u1, dc) == TRUE
+                && !mgr.intersects(on, off)
+                && !mgr.intersects(on, dc)
+                && !mgr.intersects(off, dc)
         })
     }
 
@@ -146,31 +146,43 @@ impl IsfBdds {
     /// The *essential* support of output `j` — Definition 2.1 read the way
     /// Sasao's ISF work does: `x` is a support variable iff no completion
     /// of `f_j` can be independent of it, i.e. the two cofactors are
-    /// incompatible (`on|ₓ₌₀·off|ₓ₌₁ ∨ on|ₓ₌₁·off|ₓ₌₀ ≠ 0`).
+    /// incompatible (`on|ₓ₌₀·off|ₓ₌₁ ∨ on|ₓ₌₁·off|ₓ₌₀ ≠ 0`). Sorted by
+    /// current level.
     ///
     /// Inputs that only influence the *don't-care set* (e.g. the validity
     /// of other digits in the radix benchmarks) are not essential; this is
     /// what legitimizes interleaved orders like the decimal adder's
     /// carry-chain order under Definition 2.4.
     ///
-    /// A completely specified output (`dc = 0`, `off = ¬on`, as in every
-    /// DC=0/DC=1 completion) has exactly one completion, so its essential
-    /// support is `support(on)`; that case skips the cofactor tests.
-    pub fn essential_support_of_output(&self, mgr: &mut BddManager, j: usize) -> Vec<Var> {
-        if self.dc[j] == FALSE && self.off[j] == mgr.not(self.on[j]) {
-            return mgr.support(self.on[j]);
+    /// Decided without building a node, by one walk over the reachable
+    /// pairs `(on|α, off|α)`, `α` an assignment to the variables above the
+    /// pair's top variable `x`: `x` is essential iff some pair labelled `x`
+    /// has `on₀·off₁ ≠ 0` or `on₁·off₀ ≠ 0` ([`BddManager::intersects`]).
+    /// Every other assignment to the variables above `x` lands on a pair
+    /// that does not depend on `x`, where both products are `on|α·off|α`,
+    /// which is `0` because `on` and `off` are disjoint, as in every
+    /// validated ISF.
+    pub fn essential_support_of_output(&self, mgr: &BddManager, j: usize) -> Vec<Var> {
+        let mut essential = vec![false; mgr.num_vars()];
+        let mut seen = bddcf_bdd::hasher::FastSet::default();
+        let mut pending = vec![(self.on[j], self.off[j])];
+        while let Some((on, off)) = pending.pop() {
+            // A constant side is FALSE, or forces the other side to FALSE.
+            if mgr.is_const(on) || mgr.is_const(off) || !seen.insert((on.raw(), off.raw())) {
+                continue;
+            }
+            let top = mgr.level_of_node(on).min(mgr.level_of_node(off));
+            let x = mgr.var_at(top).0 as usize;
+            let (on0, on1) = mgr.cofactors_at(on, top);
+            let (off0, off1) = mgr.cofactors_at(off, top);
+            essential[x] = essential[x] || mgr.intersects(on0, off1) || mgr.intersects(on1, off0);
+            pending.push((on0, off0));
+            pending.push((on1, off1));
         }
-        self.support_of_output(mgr, j)
-            .into_iter()
-            .filter(|&x| {
-                let on0 = mgr.restrict(self.on[j], x, false);
-                let on1 = mgr.restrict(self.on[j], x, true);
-                let off0 = mgr.restrict(self.off[j], x, false);
-                let off1 = mgr.restrict(self.off[j], x, true);
-                let c01 = mgr.and(on0, off1);
-                let c10 = mgr.and(on1, off0);
-                c01 != FALSE || c10 != FALSE
-            })
+        mgr.order()
+            .iter()
+            .copied()
+            .filter(|x| essential[x.0 as usize])
             .collect()
     }
 
@@ -272,7 +284,7 @@ impl Cf {
         let mut mgr = layout.new_manager();
         mgr.set_order(order);
         let isf = build_isf(&mut mgr, &layout);
-        let mut cf = Cf::from_isf(mgr, layout, isf);
+        let cf = Cf::from_isf(mgr, layout, isf);
         let constraints = cf.sift_constraints();
         assert!(
             constraints.check(cf.manager()),
@@ -417,8 +429,7 @@ impl Cf {
         // carry chain; the sifting constraints enforce exactly this set).
         for j in 0..self.layout.num_outputs() {
             let y = self.layout.output_var(j);
-            let isf = self.isf.clone();
-            for var in isf.essential_support_of_output(&mut self.mgr, j) {
+            for var in self.isf.essential_support_of_output(&self.mgr, j) {
                 assert!(
                     self.mgr.level_of(var) < self.mgr.level_of(y),
                     "{context}: Definition 2.4 violated for output {} and essential support {}",

@@ -16,13 +16,12 @@ impl Cf {
     /// *essential* support of its function (see
     /// [`IsfBdds::essential_support_of_output`] — inputs that only steer
     /// the don't-care set do not constrain the output's position).
-    pub fn sift_constraints(&mut self) -> SiftConstraints {
+    pub fn sift_constraints(&self) -> SiftConstraints {
         let mut constraints = SiftConstraints::none();
-        let layout = self.layout().clone();
-        let isf = self.isf().clone();
+        let layout = self.layout();
         for j in 0..layout.num_outputs() {
             let y = layout.output_var(j);
-            for x in isf.essential_support_of_output(self.manager_mut(), j) {
+            for x in self.isf().essential_support_of_output(self.manager(), j) {
                 constraints.require_above(x, y);
             }
         }
@@ -61,7 +60,7 @@ mod tests {
 
     #[test]
     fn constraints_keep_outputs_below_supports() {
-        let mut cf = Cf::from_truth_table(&TruthTable::paper_table1());
+        let cf = Cf::from_truth_table(&TruthTable::paper_table1());
         let constraints = cf.sift_constraints();
         assert!(constraints.check(cf.manager()));
         // Essential supports: f1 on {x1,x2,x3}; f2 on {x2,x3,x4} (its x1

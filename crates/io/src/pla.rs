@@ -308,7 +308,7 @@ impl Pla {
         }
         let mut dc = Vec::with_capacity(self.num_outputs);
         for j in 0..self.num_outputs {
-            if mgr.and(on[j], off[j]) != FALSE {
+            if mgr.intersects(on[j], off[j]) {
                 return Err(PlaError::Conflict { output: j });
             }
             if self.default_off {
