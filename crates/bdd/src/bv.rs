@@ -2,11 +2,12 @@
 //!
 //! A bit-vector is a `Vec<NodeId>`, least-significant bit first; each bit is
 //! a Boolean function of the manager's variables. This module provides the
-//! adders, constant multipliers, comparators, and division/modulus by a
-//! constant needed to construct the paper's arithmetic benchmark functions
-//! (radix converters, residue-number-system converters, BCD adders and
-//! multipliers) *symbolically*, without enumerating their truth tables —
-//! the 4-digit decimal adder alone has 10⁸ care minterms.
+//! adders, constant multipliers, comparators, and division by a constant
+//! needed to construct the paper's radix converters and BCD adders
+//! *symbolically*, without enumerating their truth tables — the 4-digit
+//! decimal adder alone has 10⁸ care minterms. (The residue-number-system
+//! converters and the decimal multiplier, at most 17 inputs, are built
+//! from their tabulated oracles instead.)
 //!
 //! All operations are purely combinational and allocate nodes in the given
 //! [`BddManager`].
@@ -131,20 +132,6 @@ pub fn mul_const(mgr: &mut BddManager, a: &BitVec, c: u64) -> BitVec {
     acc
 }
 
-/// General multiplication `a · b` via shift-and-add on `b`'s bits.
-pub fn mul(mgr: &mut BddManager, a: &BitVec, b: &BitVec) -> BitVec {
-    let mut acc: BitVec = Vec::new();
-    for (bit, &bi) in b.iter().enumerate() {
-        if bi == FALSE {
-            continue;
-        }
-        let shifted = shl(a, bit);
-        let gated: BitVec = shifted.iter().map(|&s| mgr.and(s, bi)).collect();
-        acc = add(mgr, &acc, &gated);
-    }
-    acc
-}
-
 /// The predicate `a < c` for a constant `c`.
 pub fn lt_const(mgr: &mut BddManager, a: &BitVec, c: u64) -> NodeId {
     // Compare from the most significant bit down.
@@ -228,12 +215,6 @@ pub fn divmod_const(mgr: &mut BddManager, a: &BitVec, m: u64) -> (BitVec, BitVec
     // The remainder is < m, so it fits in mbits bits; the upper bits are
     // identically false but we keep the caller's width and let them resize.
     (quot, rem)
-}
-
-/// `a mod m` for a constant `m`.
-pub fn mod_const(mgr: &mut BddManager, a: &BitVec, m: u64) -> BitVec {
-    let (_, r) = divmod_const(mgr, a, m);
-    resize(&r, bits_for(m.saturating_sub(1)).min(r.len().max(1)))
 }
 
 /// Evaluates a bit-vector under a total assignment, returning its numeric
@@ -340,28 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn general_mul_exhaustive() {
-        let mut mgr = BddManager::new(6);
-        let a: BitVec = (0..3).map(|i| mgr.var(Var(i))).collect();
-        let b: BitVec = (3..6).map(|i| mgr.var(Var(i))).collect();
-        let p = mul(&mut mgr, &a, &b);
-        for va in 0..8u64 {
-            for vb in 0..8u64 {
-                let assignment: Vec<bool> = (0..6)
-                    .map(|i| {
-                        if i < 3 {
-                            va >> i & 1 == 1
-                        } else {
-                            vb >> (i - 3) & 1 == 1
-                        }
-                    })
-                    .collect();
-                assert_eq!(eval(&mgr, &p, &assignment), va * vb);
-            }
-        }
-    }
-
-    #[test]
     fn comparisons_exhaustive() {
         with_nibble(|mgr, x, _| {
             for c in 0..20u64 {
@@ -387,17 +346,6 @@ mod tests {
                     assert_eq!(evaluate(mgr, &q, input), input / m, "{input} / {m}");
                     assert_eq!(evaluate(mgr, &r, input), input % m, "{input} % {m}");
                 }
-            }
-        });
-    }
-
-    #[test]
-    fn mod_const_narrow_width() {
-        with_nibble(|mgr, x, evaluate| {
-            let r = mod_const(mgr, x, 3);
-            assert!(r.len() <= 2, "mod 3 needs at most 2 bits, got {}", r.len());
-            for input in 0..16 {
-                assert_eq!(evaluate(mgr, &r, input), input % 3);
             }
         });
     }

@@ -48,16 +48,6 @@ proptest! {
     }
 
     #[test]
-    fn mul_matches_u64(wa in 1usize..6, wb in 1usize..6, seed_a in any::<u64>(), seed_b in any::<u64>()) {
-        let (mut mgr, a, b) = operands(wa, wb);
-        let product = bv::mul(&mut mgr, &a, &b);
-        let va = seed_a & ((1 << wa) - 1);
-        let vb = seed_b & ((1 << wb) - 1);
-        let assignment = assignment(wa, wb, va, vb);
-        prop_assert_eq!(bv::eval(&mgr, &product, &assignment), va * vb);
-    }
-
-    #[test]
     fn mul_const_matches_u64(w in 1usize..8, c in 0u64..100, seed in any::<u64>()) {
         let (mut mgr, a, _) = operands(w, 1);
         let product = bv::mul_const(&mut mgr, &a, c);

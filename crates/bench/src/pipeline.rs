@@ -2,7 +2,7 @@
 //!
 //! For one benchmark function:
 //!
-//! 1. build the ISF symbolically and bi-partition the outputs
+//! 1. build the ISF ([`Benchmark::build_isf`]) and bi-partition the outputs
 //!    (`F₁` = most significant half, `F₂` = rest);
 //! 2. per half: sift the BDD_for_CF with the sum-of-widths cost;
 //! 3. measure the ISF representation, then — in the same (sifted) variable

@@ -5,6 +5,7 @@
 use crate::layout::CfLayout;
 use bddcf_bdd::{BddManager, Error as BudgetError, NodeId, Var, WidthProfile, FALSE, TRUE};
 use bddcf_logic::{Ternary, TruthTable};
+use std::cmp::Reverse;
 
 /// Per-output ON/OFF/DC sets of a multiple-output ISF, as BDDs over the
 /// *input* variables of a manager laid out by [`CfLayout`].
@@ -40,54 +41,63 @@ impl IsfBdds {
     }
 
     /// Extracts the ISF of a [`TruthTable`] into `mgr` (which must be laid
-    /// out per `layout`).
+    /// out per `layout`). Each output's ON, OFF and DC truth vectors are laid
+    /// out in the manager's current input order and reduced bottom up, one
+    /// [`BddManager::mk`] per pair of sibling half-vectors, so every node the
+    /// build makes belongs to the result.
     ///
     /// # Panics
     ///
     /// Panics if the table shape disagrees with `layout`.
     pub fn from_truth_table(mgr: &mut BddManager, layout: &CfLayout, table: &TruthTable) -> Self {
-        let saved = mgr.take_budget();
-        let isf = IsfBdds::try_from_truth_table(mgr, layout, table)
-            .expect("invariant: unbudgeted construction cannot fail");
-        mgr.resume_budget(saved);
-        isf
-    }
-
-    /// Budgeted [`from_truth_table`](Self::from_truth_table): fails cleanly
-    /// if the manager's installed budget runs out while the minterm BDDs
-    /// are built. Partially built sets become unreferenced garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table shape disagrees with `layout` (caller bug, not a
-    /// resource condition).
-    pub fn try_from_truth_table(
-        mgr: &mut BddManager,
-        layout: &CfLayout,
-        table: &TruthTable,
-    ) -> Result<Self, BudgetError> {
         assert_eq!(table.num_inputs(), layout.num_inputs());
         assert_eq!(table.num_outputs(), layout.num_outputs());
-        let vars = layout.input_vars();
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        let mut dc = Vec::new();
+        // The inputs bottom first: bit `k` of a row's slot is the value of
+        // `vars[k]`, so the bottom variable splits adjacent slots.
+        let mut inputs: Vec<usize> = (0..layout.num_inputs()).collect();
+        inputs.sort_by_key(|&i| Reverse(mgr.level_of(layout.input_var(i))));
+        let vars: Vec<Var> = inputs.iter().map(|&i| layout.input_var(i)).collect();
+        let slot: Vec<usize> = (0..table.num_rows())
+            .map(|r| {
+                inputs
+                    .iter()
+                    .enumerate()
+                    .fold(0, |s, (k, &i)| s | (r >> i & 1) << k)
+            })
+            .collect();
+        let mut vector = vec![FALSE; table.num_rows()];
+        let mut isf = IsfBdds {
+            on: Vec::new(),
+            off: Vec::new(),
+            dc: Vec::new(),
+        };
         for j in 0..layout.num_outputs() {
-            let mut on_m = Vec::new();
-            let mut off_m = Vec::new();
-            let mut dc_m = Vec::new();
-            for r in 0..table.num_rows() {
-                match table.get(r, j) {
-                    Ternary::One => on_m.push(r as u64),
-                    Ternary::Zero => off_m.push(r as u64),
-                    Ternary::DontCare => dc_m.push(r as u64),
+            for (value, sets) in [
+                (Ternary::One, &mut isf.on),
+                (Ternary::Zero, &mut isf.off),
+                (Ternary::DontCare, &mut isf.dc),
+            ] {
+                for (r, &s) in slot.iter().enumerate() {
+                    vector[s] = if table.get(r, j) == value {
+                        TRUE
+                    } else {
+                        FALSE
+                    };
                 }
+                let mut len = vector.len();
+                for &var in &vars {
+                    len /= 2;
+                    for s in 0..len {
+                        // Most pairs are equal halves: keeping them out
+                        // of `mk` halves the build's time.
+                        let (lo, hi) = (vector[2 * s], vector[2 * s + 1]);
+                        vector[s] = if lo == hi { lo } else { mgr.mk(var, lo, hi) };
+                    }
+                }
+                sets.push(vector[0]);
             }
-            on.push(mgr.try_from_minterms(&vars, &on_m)?);
-            off.push(mgr.try_from_minterms(&vars, &off_m)?);
-            dc.push(mgr.try_from_minterms(&vars, &dc_m)?);
         }
-        Ok(IsfBdds { on, off, dc })
+        isf
     }
 
     /// Number of outputs.

@@ -3,13 +3,17 @@
 //!
 //! Every decimal digit uses 4 bits; codes `10..15` are input don't cares
 //! (§4.1's ratio: `1 − (10/16)^{digits}`).
+//!
+//! The adders (24 and 32 inputs) are built symbolically, digit by digit
+//! with a carry; the multiplier (16 inputs) from its tabulated oracle
+//! ([`IsfBdds::from_truth_table`]).
 
 use crate::digits::DigitLayout;
 use crate::Benchmark;
 use bddcf_bdd::bv::{self, BitVec};
 use bddcf_bdd::{BddManager, FALSE};
 use bddcf_core::{CfLayout, IsfBdds};
-use bddcf_logic::{MultiOracle, Response};
+use bddcf_logic::{MultiOracle, Response, TruthTable};
 
 /// Packs a decimal `value` into the output-word convention: the result has
 /// `digits` BCD digits, most significant digit first, and within each digit
@@ -187,9 +191,10 @@ impl DecimalMultiplier {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `k > 4` (the symbolic product grows quickly).
+    /// Panics if `k == 0` or `k > 2`: the ISF is built from a table of
+    /// `2^{8k}` rows, which at `k = 3` would hold 400 million entries.
     pub fn new(k: usize) -> Self {
-        assert!(k > 0 && k <= 4, "unsupported digit count {k}");
+        assert!(k > 0 && k <= 2, "unsupported digit count {k}");
         DecimalMultiplier {
             k,
             digits: DigitLayout::uniform(10, 2 * k),
@@ -235,42 +240,7 @@ impl Benchmark for DecimalMultiplier {
     }
 
     fn build_isf(&self, mgr: &mut BddManager, layout: &CfLayout) -> IsfBdds {
-        // Binary values of the operands (Horner over BCD digits)…
-        let mut a: BitVec = Vec::new();
-        let mut b: BitVec = Vec::new();
-        for i in 0..self.k {
-            let da = self.digits.digit_bv(mgr, layout, 2 * i);
-            let db = self.digits.digit_bv(mgr, layout, 2 * i + 1);
-            let a10 = bv::mul_const(mgr, &a, 10);
-            a = bv::add(mgr, &a10, &da);
-            let b10 = bv::mul_const(mgr, &b, 10);
-            b = bv::add(mgr, &b10, &db);
-        }
-        // …binary product, then binary→BCD by repeated div-mod 10.
-        let mut product = bv::mul(mgr, &a, &b);
-        let num_digits = 2 * self.k;
-        let mut bcd: Vec<BitVec> = Vec::with_capacity(num_digits);
-        for _ in 0..num_digits - 1 {
-            let (q, r) = bv::divmod_const(mgr, &product, 10);
-            bcd.push(truncate_unchecked(r, 4));
-            product = q;
-        }
-        bcd.push(truncate_unchecked(product, 4)); // most significant digit
-        bcd.reverse(); // bcd[0] = most significant
-
-        let valid = self.digits.valid(mgr, layout);
-        let invalid = mgr.not(valid);
-        let m = self.num_outputs();
-        let mut on = Vec::with_capacity(m);
-        let mut dc = Vec::with_capacity(m);
-        for j in 0..m {
-            let digit = j / 4;
-            let bit = 3 - j % 4;
-            let value_bit = bcd[digit][bit];
-            on.push(mgr.and(valid, value_bit));
-            dc.push(invalid);
-        }
-        IsfBdds::from_on_dc(mgr, on, dc)
+        IsfBdds::from_truth_table(mgr, layout, &TruthTable::tabulate(self))
     }
 
     fn dc_ratio(&self) -> f64 {
@@ -371,6 +341,12 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported digit count 3")]
+    fn multiplier_rejects_more_digits_than_a_table_serves() {
+        let _ = DecimalMultiplier::new(3);
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! * report its arity and analytic don't-care ratio,
 //! * answer point queries ([`MultiOracle`]) — the ground truth for sampled
 //!   end-to-end verification, and
-//! * build its ON/OFF/DC sets **symbolically** as BDDs
-//!   ([`Benchmark::build_isf`]) — the arithmetic functions are constructed
-//!   with bit-vector arithmetic ([`bddcf_bdd::bv`]), never by enumerating
-//!   their up-to-`2^40`-row truth tables.
+//! * build its ON/OFF/DC sets as BDDs ([`Benchmark::build_isf`]). The
+//!   radix converters and decimal adders (up to 32 inputs) are constructed
+//!   with bit-vector arithmetic ([`bddcf_bdd::bv`]) and the word lists
+//!   from their minterms, never by enumerating their up-to-`2^40`-row truth
+//!   tables. The RNS converters and the decimal multiplier (at most 17
+//!   inputs) tabulate their oracle ([`bddcf_logic::TruthTable::tabulate`])
+//!   and reduce it bottom up ([`IsfBdds::from_truth_table`]), which makes
+//!   no node outside the result, where bit-vector products and divisions
+//!   made up to 55 times the nodes they kept.
 //!
 //! # Output numbering
 //!
@@ -39,8 +44,8 @@ use bddcf_bdd::BddManager;
 use bddcf_core::{CfLayout, IsfBdds};
 use bddcf_logic::MultiOracle;
 
-/// A named benchmark function that can be queried pointwise and built
-/// symbolically.
+/// A named benchmark function that can be queried pointwise and built as
+/// BDDs.
 pub trait Benchmark: MultiOracle {
     /// Display name, e.g. `"5-7-11-13 RNS"`.
     fn name(&self) -> String;

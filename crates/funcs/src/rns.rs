@@ -6,13 +6,17 @@
 //! Chinese Remainder Theorem: `v = (Σ rᵢ·wᵢ) mod M` with
 //! `wᵢ = Mᵢ·(Mᵢ⁻¹ mod mᵢ)`, `Mᵢ = M/mᵢ`. Residue codes `≥ mᵢ` are input
 //! don't cares.
+//!
+//! The ISF is built from the tabulated oracle ([`IsfBdds::from_truth_table`]),
+//! so [`RnsConverter::new`] admits at most 17 input bits, as many as the
+//! paper's largest converter has.
 
 use crate::digits::DigitLayout;
 use crate::{value_to_word, Benchmark};
-use bddcf_bdd::bv::{self, BitVec};
+use bddcf_bdd::bv;
 use bddcf_bdd::BddManager;
 use bddcf_core::{CfLayout, IsfBdds};
-use bddcf_logic::{MultiOracle, Response};
+use bddcf_logic::{MultiOracle, Response, TruthTable};
 
 /// An RNS-to-binary converter for a fixed modulus set.
 ///
@@ -43,12 +47,18 @@ pub struct RnsConverter {
     num_outputs: usize,
 }
 
+/// The most input bits a converter's tabulated ISF may have: the largest
+/// registry row, `11-13-15-17 RNS`, has 17.
+const MAX_INPUT_BITS: usize = 17;
+
 impl RnsConverter {
     /// Converter for the given moduli (must be pairwise coprime, each ≥ 2).
     ///
     /// # Panics
     ///
-    /// Panics if the moduli are not pairwise coprime or `Π mᵢ` overflows.
+    /// Panics if the moduli are not pairwise coprime, `Π mᵢ` overflows, or
+    /// the binary-coded residues take more than 17 input bits (the ISF is
+    /// built from a table of `2ⁿ` rows).
     pub fn new(moduli: Vec<u64>) -> Self {
         assert!(!moduli.is_empty());
         for (i, &a) in moduli.iter().enumerate() {
@@ -68,8 +78,14 @@ impl RnsConverter {
                 mi * mod_inverse(mi % m, m)
             })
             .collect();
+        let digits = DigitLayout::new(moduli.clone());
+        assert!(
+            digits.total_bits() <= MAX_INPUT_BITS,
+            "{} input bits exceed the {MAX_INPUT_BITS} a tabulated converter allows",
+            digits.total_bits()
+        );
         RnsConverter {
-            digits: DigitLayout::new(moduli.clone()),
+            digits,
             moduli,
             weights,
             modulus_product,
@@ -157,25 +173,7 @@ impl Benchmark for RnsConverter {
     }
 
     fn build_isf(&self, mgr: &mut BddManager, layout: &CfLayout) -> IsfBdds {
-        // Σ rᵢ·wᵢ symbolically, then mod M by restoring division.
-        let mut sum: BitVec = Vec::new();
-        for i in 0..self.digits.num_digits() {
-            let residue = self.digits.digit_bv(mgr, layout, i);
-            let term = bv::mul_const(mgr, &residue, self.weights[i]);
-            sum = bv::add(mgr, &sum, &term);
-        }
-        let value = bv::mod_const(mgr, &sum, self.modulus_product);
-        let value = bv::resize(&value, self.num_outputs);
-        let valid = self.digits.valid(mgr, layout);
-        let invalid = mgr.not(valid);
-        let mut on = Vec::with_capacity(self.num_outputs);
-        let mut dc = Vec::with_capacity(self.num_outputs);
-        for j in 0..self.num_outputs {
-            let bit = value[self.num_outputs - 1 - j];
-            on.push(mgr.and(valid, bit));
-            dc.push(invalid);
-        }
-        IsfBdds::from_on_dc(mgr, on, dc)
+        IsfBdds::from_truth_table(mgr, layout, &TruthTable::tabulate(self))
     }
 
     fn dc_ratio(&self) -> f64 {
@@ -219,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_construction_matches_oracle_small() {
+    fn construction_matches_oracle_small() {
         let rns = RnsConverter::new(vec![3, 5]);
         let n = rns.num_inputs();
         let mut cf = Cf::build(rns.layout(), |mgr, layout| rns.build_isf(mgr, layout));
@@ -233,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_construction_matches_oracle_medium() {
+    fn construction_matches_oracle_medium() {
         let rns = RnsConverter::new(vec![3, 5, 7]);
         let n = rns.num_inputs();
         let cf = Cf::build(rns.layout(), |mgr, layout| rns.build_isf(mgr, layout));
@@ -253,5 +251,11 @@ mod tests {
     #[should_panic(expected = "not coprime")]
     fn rejects_non_coprime_moduli() {
         let _ = RnsConverter::new(vec![4, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "22 input bits exceed the 17")]
+    fn rejects_more_input_bits_than_a_table_serves() {
+        let _ = RnsConverter::new(vec![11, 13, 15, 17, 19]);
     }
 }

@@ -1,7 +1,9 @@
-//! Sampled consistency between every generator's symbolic construction and
-//! its arithmetic oracle: on specified inputs the completed BDD_for_CF must
+//! Sampled consistency between every generator's BDD construction and its
+//! arithmetic oracle: on specified inputs the completed BDD_for_CF must
 //! equal the oracle word; on don't-care inputs anything is admissible by
-//! construction (checked through the allowed-word sets where cheap).
+//! construction (checked through the allowed-word sets where cheap). The
+//! radix converters, adders and word lists are built symbolically, the RNS
+//! converters and the multiplier from their tabulated oracles.
 
 use bddcf_core::Cf;
 use bddcf_funcs::{

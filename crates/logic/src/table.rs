@@ -6,6 +6,7 @@
 //! Tables 2–3) and the reference every symbolic construction is validated
 //! against in tests.
 
+use crate::oracle::{MultiOracle, Response};
 use crate::ternary::Ternary;
 use std::fmt;
 
@@ -78,6 +79,29 @@ impl TruthTable {
                 let v = Ternary::from_char(c)
                     .unwrap_or_else(|| panic!("invalid ternary digit {c:?} in row {r}"));
                 table.set(r, j, v);
+            }
+        }
+        table
+    }
+
+    /// Tabulates an oracle: row `r` holds its answer on the input word `r`,
+    /// and every output of a [`Response::DontCare`] row stays don't care.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`TruthTable::new`] does on the oracle's arity.
+    pub fn tabulate(oracle: &dyn MultiOracle) -> TruthTable {
+        let (num_inputs, num_outputs) = (oracle.num_inputs(), oracle.num_outputs());
+        let mut table = TruthTable::new(num_inputs, num_outputs);
+        let mut input = vec![false; num_inputs];
+        for (r, row) in table.rows.chunks_exact_mut(num_outputs).enumerate() {
+            for (i, bit) in input.iter_mut().enumerate() {
+                *bit = r >> i & 1 == 1;
+            }
+            if let Response::Value(word) = oracle.respond(&input) {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = Ternary::from_bool(word >> j & 1 == 1);
+                }
             }
         }
         table
@@ -266,6 +290,7 @@ impl TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use Ternary::*;
 
     #[test]
@@ -351,6 +376,27 @@ mod tests {
         assert_eq!(p.num_outputs(), 1);
         assert_eq!(p.get(0, 0), One);
         assert_eq!(p.get(1, 0), Zero);
+    }
+
+    proptest::proptest! {
+        /// A table whose rows are each fully specified or all don't care is
+        /// exactly what its oracle answers, so tabulating it returns it.
+        #[test]
+        fn tabulate_returns_a_table_of_whole_rows(
+            num_inputs in 0usize..7,
+            num_outputs in 1usize..5,
+            rows in prop::collection::vec((any::<bool>(), any::<u64>()), 64),
+        ) {
+            let mut table = TruthTable::new(num_inputs, num_outputs);
+            for (r, &(specified, word)) in rows.iter().take(1 << num_inputs).enumerate() {
+                if specified {
+                    for j in 0..num_outputs {
+                        table.set(r, j, Ternary::from_bool(word >> j & 1 == 1));
+                    }
+                }
+            }
+            prop_assert_eq!(TruthTable::tabulate(&table), table);
+        }
     }
 
     #[test]
